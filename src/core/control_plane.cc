@@ -12,9 +12,14 @@ void ControlPlane::send(SwitchId to, const ControlMessage& msg,
     std::lock_guard<std::mutex> lk(mutex_);
     ++messages_sent_;
     bytes_sent_ += bytes.size();
-    const char* type = control_type_name(msg.body);
-    counters_.add(type);
-    counters_.add(std::string(type) + "_bytes", bytes.size());
+    TypeCells& cells = type_cells_[msg.body.index()];
+    if (cells.messages == nullptr) {
+      const std::string type = control_type_name(msg.body);
+      cells.messages = counters_.handle(type);
+      cells.bytes = counters_.handle(type + "_bytes");
+    }
+    ++*cells.messages;
+    *cells.bytes += bytes.size();
   }
 
   // Deliver on the destination endpoint's shard: with the 500µs control

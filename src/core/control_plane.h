@@ -7,10 +7,12 @@
 // true message and byte volumes, broken down by message type.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <variant>
 
 #include "common/stats.h"
 #include "common/units.h"
@@ -99,6 +101,14 @@ class ControlPlane : public sim::DataEventOwner {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   CounterSet counters_;
+  /// Cached "<type>" / "<type>_bytes" counter cells, indexed by the
+  /// ControlBody alternative and created on the first send of that type,
+  /// so a send bumps two pointers instead of two string-keyed lookups.
+  struct TypeCells {
+    std::uint64_t* messages = nullptr;
+    std::uint64_t* bytes = nullptr;
+  };
+  std::array<TypeCells, std::variant_size_v<ControlBody>> type_cells_{};
 };
 
 }  // namespace portland::core

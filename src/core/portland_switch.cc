@@ -48,11 +48,6 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
   // An edge's hosts hang off its down ports (at most half the radix);
   // the hint is applied lazily, so non-edge switches never allocate.
   host_table_.reserve(std::max<std::size_t>(1, num_ports / 2));
-  if (!legacy_tables_) {
-    std::size_t slots = 16;
-    while (slots < config_.flow_cache_entries) slots <<= 1;
-    flow_slot_mask_ = slots - 1;  // slot array itself allocates lazily
-  }
   // kNone stays nullptr: it is never dropped, and a stray use faults
   // loudly instead of silently counting nonsense.
   for (std::size_t i = 1; i < obs::kDropReasonCount; ++i) {
@@ -266,7 +261,6 @@ const PortlandSwitch::Fib& PortlandSwitch::fib() const {
 
 void PortlandSwitch::rebuild_fib() const {
   ++fib_rebuilds_;
-  ++fib_.generation;  // retires every flow-cache entry at once
   fib_.ldp_gen = ldp_.topology_generation();
   fib_.prune_gen = prune_generation_;
   fib_.base_up = ldp_.up_ports();
@@ -325,46 +319,10 @@ void PortlandSwitch::rebuild_fib() const {
 }
 
 std::optional<sim::PortId> PortlandSwitch::pick_up_port(
-    const ParsedFrame& parsed, const sim::FramePtr& frame, MacAddress dst,
+    const ParsedFrame& parsed, const sim::FramePtr& frame,
     std::uint16_t dst_pod, std::uint8_t dst_position) const {
   const Fib& fib = this->fib();
-  const bool spray =
-      config_.ecmp_mode == PortlandConfig::EcmpMode::kPacketSpray;
-
-  const FlowCacheKey key{dst.to_u64(), parsed.flow_hash};
-  if (!spray) {
-    // Exact-match flow cache: (dst PMAC, flow hash) -> egress port. An
-    // entry is live only for the FIB generation it was computed against,
-    // so topology or prune churn invalidates everything implicitly.
-    if (legacy_tables_) {
-      const auto it = flow_cache_.find(key);
-      if (it != flow_cache_.end() &&
-          it->second.generation == fib.generation) {
-        ++flow_cache_hits_;
-        if (flight_recorder() != nullptr) {
-          record_hop(obs::HopEvent::kFlowCacheHit, frame, it->second.port,
-                     fib.generation);
-        }
-        return it->second.port;
-      }
-    } else if (!flow_slots_.empty()) {
-      std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
-      for (std::size_t i = 0; i < kFlowProbeWindow;
-           ++i, idx = (idx + 1) & flow_slot_mask_) {
-        const FlowSlot& slot = flow_slots_[idx];
-        if (slot.generation == fib.generation && slot.dst == key.dst &&
-            slot.flow_hash == key.flow_hash) {
-          ++flow_cache_hits_;
-          if (flight_recorder() != nullptr) {
-            record_hop(obs::HopEvent::kFlowCacheHit, frame, slot.port,
-                       fib.generation);
-          }
-          return slot.port;
-        }
-      }
-    }
-    ++flow_cache_misses_;
-  }
+  ++up_decisions_;
 
   const std::vector<sim::PortId>* candidates = &fib.base_up;
   if (legacy_tables_) {
@@ -398,40 +356,16 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
   }
   if (candidates->empty()) return std::nullopt;
 
-  if (spray) {
-    // Ablation: per-packet round robin. Best instantaneous balance, but
-    // reorders flows — E11 measures what that does to TCP.
-    const sim::PortId port =
-        (*candidates)[spray_counter_++ % candidates->size()];
-    if (flight_recorder() != nullptr) {
-      record_hop(obs::HopEvent::kEcmpChoice, frame, port,
-                 candidates->size());
-    }
-    return port;
-  }
   // Flow-level ECMP: all packets of a flow hash to one uplink (§3.5). The
-  // hash was precomputed at parse time.
-  const sim::PortId port =
-      (*candidates)[parsed.flow_hash % candidates->size()];
-  if (legacy_tables_) {
-    if (flow_cache_.size() >= kFlowCacheCap) flow_cache_.clear();
-    flow_cache_.emplace(key, FlowCacheEntry{port, fib.generation});
-  } else {
-    if (flow_slots_.empty()) flow_slots_.assign(flow_slot_mask_ + 1, {});
-    // Prefer an empty or stale slot in the probe window; when all are
-    // live, overwrite the home slot (plain eviction — correctness never
-    // depends on what the cache holds).
-    std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
-    FlowSlot* victim = &flow_slots_[idx];
-    for (std::size_t i = 0; i < kFlowProbeWindow;
-         ++i, idx = (idx + 1) & flow_slot_mask_) {
-      if (flow_slots_[idx].generation != fib.generation) {
-        victim = &flow_slots_[idx];
-        break;
-      }
-    }
-    *victim = FlowSlot{key.dst, key.flow_hash, fib.generation, port};
-  }
+  // hash was precomputed at parse time, so the FIB's candidate array is
+  // the only per-hop state — no per-flow table. The kPacketSpray ablation
+  // round-robins instead: best instantaneous balance, but it reorders
+  // flows — E11 measures what that does to TCP.
+  const std::uint64_t pick =
+      config_.ecmp_mode == PortlandConfig::EcmpMode::kPacketSpray
+          ? spray_counter_++
+          : parsed.flow_hash;
+  const sim::PortId port = (*candidates)[pick % candidates->size()];
   if (flight_recorder() != nullptr) {
     record_hop(obs::HopEvent::kEcmpChoice, frame, port, candidates->size());
   }
@@ -468,8 +402,7 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         drop(obs::DropReason::kUnknownLocalDst, frame, in_port);
         return;
       }
-      const auto up = pick_up_port(parsed, frame, dst, pmac.pod,
-                                   pmac.position);
+      const auto up = pick_up_port(parsed, frame, pmac.pod, pmac.position);
       if (!up.has_value()) {
         drop(obs::DropReason::kNoUplink, frame, in_port);
         return;
@@ -497,8 +430,7 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         drop(obs::DropReason::kNoDownlink, frame, in_port);
         return;
       }
-      const auto up = pick_up_port(parsed, frame, dst, pmac.pod,
-                                   pmac.position);
+      const auto up = pick_up_port(parsed, frame, pmac.pod, pmac.position);
       if (!up.has_value()) {
         drop(obs::DropReason::kNoUplink, frame, in_port);
         return;
@@ -926,8 +858,8 @@ void PortlandSwitch::on_control(const ControlMessage& msg) {
     }
     void operator()(const ArpResponse& m) { sw.on_arp_response(m); }
     void operator()(const PruneUpdate& m) {
-      // Any prune change retires the precomputed FIB (and with it every
-      // flow-cache entry): the very next frame routes on the new tables.
+      // Any prune change retires the precomputed FIB: the very next frame
+      // routes on the new tables.
       ++sw.prune_generation_;
       if (m.flush) {
         sw.prunes_.clear();
@@ -1146,12 +1078,10 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
   }
   w.u64(prune_generation_);
 
-  // Precomputed FIB: logically derived, but a flow-cache hit stamps
-  // fib_.generation into hop records, so it must restore bit-exactly
-  // rather than rebuild (a rebuild would also bump fib_rebuilds_).
+  // Precomputed FIB: logically derived, but restored rather than rebuilt
+  // so fib_rebuilds_ matches an uninterrupted run.
   w.u64(fib_.ldp_gen);
   w.u64(fib_.prune_gen);
-  w.u64(fib_.generation);
   save_ports(w, fib_.base_up);
   w.u32(static_cast<std::uint32_t>(fib_.pruned_up.size()));
   for (const PrunedRoute& route : fib_.pruned_up) {
@@ -1173,45 +1103,7 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(p));
   }
 
-  // Flow cache, compact build: sparse — only slots live for the current
-  // FIB generation behave differently from empty ones (stale and empty
-  // slots are both "miss + preferred victim"), so only they are saved.
-  // The allocated flag is kept so the lazy assign happens at the same
-  // point either way.
-  w.u8(flow_slots_.empty() ? 0 : 1);
-  std::uint32_t live_slots = 0;
-  for (const FlowSlot& slot : flow_slots_) {
-    if (slot.generation == fib_.generation) ++live_slots;
-  }
-  w.u32(live_slots);
-  for (std::size_t i = 0; i < flow_slots_.size(); ++i) {
-    if (flow_slots_[i].generation != fib_.generation) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.u64(flow_slots_[i].dst);
-    w.u64(flow_slots_[i].flow_hash);
-    w.u64(flow_slots_[i].port);
-  }
-  // Legacy build: all entries count toward the overflow-clear threshold,
-  // so every one is saved (sorted for a deterministic image).
-  {
-    std::vector<std::pair<FlowCacheKey, FlowCacheEntry>> entries(
-        flow_cache_.begin(), flow_cache_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.dst != b.first.dst
-                           ? a.first.dst < b.first.dst
-                           : a.first.flow_hash < b.first.flow_hash;
-              });
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [key, entry] : entries) {
-      w.u64(key.dst);
-      w.u64(key.flow_hash);
-      w.u64(entry.port);
-      w.u64(entry.generation);
-    }
-  }
-  w.u64(flow_cache_hits_);
-  w.u64(flow_cache_misses_);
+  w.u64(up_decisions_);
   w.u64(fib_rebuilds_);
 
   w.u32(static_cast<std::uint32_t>(mcast_ports_.size()));
@@ -1336,7 +1228,6 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
 
   fib_.ldp_gen = r.u64();
   fib_.prune_gen = r.u64();
-  fib_.generation = r.u64();
   restore_ports(r, fib_.base_up);
   fib_.pruned_up.clear();
   const std::uint32_t n_routes = r.u32();
@@ -1366,34 +1257,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     fib_.down_by_pod[i] = static_cast<std::int32_t>(r.u32());
   }
 
-  const bool slots_allocated = r.u8() != 0;
-  flow_slots_.clear();
-  if (slots_allocated && !legacy_tables_) {
-    flow_slots_.assign(flow_slot_mask_ + 1, {});
-  }
-  const std::uint32_t n_live = r.u32();
-  for (std::uint32_t i = 0; i < n_live && r.ok(); ++i) {
-    const std::uint32_t idx = r.u32();
-    FlowSlot slot;
-    slot.dst = r.u64();
-    slot.flow_hash = r.u64();
-    slot.generation = fib_.generation;
-    slot.port = r.u64();
-    if (idx < flow_slots_.size()) flow_slots_[idx] = slot;
-  }
-  flow_cache_.clear();
-  const std::uint32_t n_cache = r.u32();
-  for (std::uint32_t i = 0; i < n_cache && r.ok(); ++i) {
-    FlowCacheKey key;
-    key.dst = r.u64();
-    key.flow_hash = r.u64();
-    FlowCacheEntry entry;
-    entry.port = r.u64();
-    entry.generation = r.u64();
-    flow_cache_.emplace(key, entry);
-  }
-  flow_cache_hits_ = r.u64();
-  flow_cache_misses_ = r.u64();
+  up_decisions_ = r.u64();
   fib_rebuilds_ = r.u64();
 
   mcast_ports_.clear();
@@ -1464,8 +1328,6 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
   }
   b.fib += vector_bytes(fib_.pruned_up);
   for (const PrunedRoute& r : fib_.pruned_up) b.fib += vector_bytes(r.ports);
-
-  b.flow_cache = vector_bytes(flow_slots_) + unordered_map_bytes(flow_cache_);
 
   for (const auto& [key, avoid] : prunes_) {
     b.prunes += sizeof(key) + kTreeNodeOverhead + set_bytes(avoid);

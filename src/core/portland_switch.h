@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,9 +57,9 @@ class PortlandSwitch : public sim::Device {
   void handle_link_status(sim::PortId port, bool up) override;
 
   /// Checkpoint: LDP state, host/redirect/prune/multicast tables, the
-  /// precomputed FIB and flow cache (a cache hit records the FIB
-  /// generation in hop traces, so even derived state restores exactly),
-  /// pending ARP queries with their timers, fault reports, rng.
+  /// precomputed FIB (restored rather than rebuilt, so fib_rebuilds()
+  /// matches an uninterrupted run), pending ARP queries with their
+  /// timers, fault reports, rng.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
@@ -88,21 +87,16 @@ class PortlandSwitch : public sim::Device {
   [[nodiscard]] std::size_t forwarding_state_size() const;
 
   // --- fast-path introspection -------------------------------------------
-  /// Exact-match flow-cache performance on the unicast path.
-  [[nodiscard]] std::uint64_t flow_cache_hits() const {
-    return flow_cache_hits_;
-  }
+  /// Kept only for the benchmark runner's flow-cache counters: there is no
+  /// flow cache, so hits are always 0 and "misses" counts every up-path
+  /// port decision computed from the FIB.
+  [[nodiscard]] std::uint64_t flow_cache_hits() const { return 0; }
   [[nodiscard]] std::uint64_t flow_cache_misses() const {
-    return flow_cache_misses_;
+    return up_decisions_;
   }
   /// Times the precomputed FIB was rebuilt (should track topology / prune
   /// events, never packet count).
   [[nodiscard]] std::uint64_t fib_rebuilds() const { return fib_rebuilds_; }
-  /// Current FIB generation; flow-cache entries from older generations are
-  /// dead on arrival.
-  [[nodiscard]] std::uint64_t fib_generation() const {
-    return fib_.generation;
-  }
 
   /// Counted forwarding-state bytes by component (E19). Compact tables
   /// report exact vector footprints; legacy maps report estimated
@@ -110,12 +104,11 @@ class PortlandSwitch : public sim::Device {
   struct TableBytes {
     std::size_t host_table = 0;
     std::size_t fib = 0;
-    std::size_t flow_cache = 0;
     std::size_t prunes = 0;
     std::size_t multicast = 0;
     std::size_t other = 0;  // vmid/fault vectors, redirects, pending ARPs
     [[nodiscard]] std::size_t total() const {
-      return host_table + fib + flow_cache + prunes + multicast + other;
+      return host_table + fib + prunes + multicast + other;
     }
   };
   [[nodiscard]] TableBytes table_bytes() const;
@@ -174,8 +167,6 @@ class PortlandSwitch : public sim::Device {
     // lookup builds.
     std::uint64_t ldp_gen = 0;
     std::uint64_t prune_gen = 0;
-    /// Bumped at every rebuild; stamps flow-cache entries.
-    std::uint64_t generation = 0;
     /// Live uplinks with no prune applied (the common case).
     std::vector<sim::PortId> base_up;
     /// Per-destination uplink candidate arrays with the avoid sets already
@@ -188,41 +179,6 @@ class PortlandSwitch : public sim::Device {
     /// Core: pod -> down port (-1 = none).
     std::vector<std::int32_t> down_by_pod;
   };
-
-  struct FlowCacheKey {
-    std::uint64_t dst = 0;  // destination PMAC as u64
-    std::uint64_t flow_hash = 0;
-    friend bool operator==(const FlowCacheKey&, const FlowCacheKey&) = default;
-  };
-  struct FlowCacheKeyHash {
-    std::size_t operator()(const FlowCacheKey& k) const {
-      std::uint64_t x = k.dst ^ (k.flow_hash * 0x9E3779B97F4A7C15ull);
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
-  struct FlowCacheEntry {
-    sim::PortId port = 0;
-    std::uint64_t generation = 0;  // FIB generation at insert
-  };
-  /// Legacy bound on cached flows per switch; on overflow the cache is
-  /// dropped wholesale (entries regenerate in one miss each).
-  static constexpr std::size_t kFlowCacheCap = 65536;
-
-  /// Compact flow cache: a fixed open-addressed slot array. A slot is
-  /// live only when its stamp equals the current FIB generation, so both
-  /// "empty" (stamp 0 — generations start at 1) and "stale" need no
-  /// separate bookkeeping and eviction is overwrite. Cache organization
-  /// cannot change forwarding: a hit returns exactly what the miss path
-  /// would recompute for the same FIB generation.
-  struct FlowSlot {
-    std::uint64_t dst = 0;
-    std::uint64_t flow_hash = 0;
-    std::uint64_t generation = 0;
-    sim::PortId port = 0;
-  };
-  static constexpr std::size_t kFlowProbeWindow = 8;
 
   // --- ingress dispatch ---
   void handle_host_ingress(sim::PortId port, const net::ParsedFrame& parsed,
@@ -244,7 +200,7 @@ class PortlandSwitch : public sim::Device {
                              const sim::FramePtr& frame);
   [[nodiscard]] std::optional<sim::PortId> pick_up_port(
       const net::ParsedFrame& parsed, const sim::FramePtr& frame,
-      MacAddress dst, std::uint16_t dst_pod, std::uint8_t dst_position) const;
+      std::uint16_t dst_pod, std::uint8_t dst_position) const;
   [[nodiscard]] std::optional<sim::PortId> designated_up_port() const;
 
   /// Counts a typed drop through its cached counter cell (no string
@@ -329,15 +285,8 @@ class PortlandSwitch : public sim::Device {
   std::uint64_t prune_generation_ = 1;
 
   // Data-plane fast path (logically derived state, hence mutable).
-  // Compact build uses the fixed slot array (allocated on first insert);
-  // legacy keeps the seed's unordered_map.
   mutable Fib fib_;
-  mutable std::vector<FlowSlot> flow_slots_;
-  std::size_t flow_slot_mask_ = 0;
-  mutable std::unordered_map<FlowCacheKey, FlowCacheEntry, FlowCacheKeyHash>
-      flow_cache_;
-  mutable std::uint64_t flow_cache_hits_ = 0;
-  mutable std::uint64_t flow_cache_misses_ = 0;
+  mutable std::uint64_t up_decisions_ = 0;
   mutable std::uint64_t fib_rebuilds_ = 0;
 
   // Multicast state: per-group port bitmaps (a switch has at most k

@@ -1,15 +1,19 @@
-// Data-plane fast path regressions: the precomputed FIB and flow cache
-// must never serve stale decisions (a PruneUpdate or neighbor loss landing
-// mid-flow reroutes the very next frame), and the parse-once metadata path
-// must preserve forwarding behavior hop by hop.
+// Data-plane fast path regressions: the precomputed FIB must never serve
+// stale decisions (a PruneUpdate or neighbor loss landing mid-flow
+// reroutes the very next frame), and the parse-once metadata path must
+// preserve forwarding behavior hop by hop.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <set>
+#include <string>
 
 #include "core/fabric.h"
 #include "core/path_audit.h"
 #include "host/apps.h"
 #include "net/packet.h"
+#include "obs/flight_recorder.h"
 #include "sim/simulator.h"
 
 namespace portland::core {
@@ -168,14 +172,17 @@ TEST(Fastpath, UpPortAccessorsAreCachedAndStable) {
   EXPECT_EQ(&edge.ldp().down_ports(), &edge.ldp().down_ports());
 }
 
-TEST(Fastpath, PathAuditHoldsWithFlowCacheEnabled) {
+TEST(Fastpath, PathAuditHoldsWithFibDirectEcmp) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 35;
+  options.obs.flight_recorder = true;
+  options.obs.ring_capacity = 1 << 16;  // keep every hop of the window
   PortlandFabric fabric(options);
   ASSERT_TRUE(fabric.run_until_converged());
 
-  // Several cross-pod flows so multiple cached paths are live at once.
+  // One cross-pod flow per pod, each from that pod's edge 0, so every
+  // up-path decision at a switch belongs to the one flow entering it.
   std::vector<std::unique_ptr<host::UdpFlowReceiver>> receivers;
   std::vector<std::unique_ptr<host::UdpFlowSender>> senders;
   std::uint16_t port = 7100;
@@ -193,6 +200,18 @@ TEST(Fastpath, PathAuditHoldsWithFlowCacheEnabled) {
     ++port;
   }
 
+  // Warm-up: ARP resolution and the first (lazy) FIB build per switch.
+  fabric.sim().run_until(fabric.sim().now() + millis(50));
+  const auto total_rebuilds = [&fabric] {
+    std::uint64_t n = 0;
+    for (const PortlandSwitch* sw : fabric.switches()) n += sw->fib_rebuilds();
+    return n;
+  };
+  const std::uint64_t rebuilds0 = total_rebuilds();
+  obs::FlightRecorder* rec = fabric.flight_recorder();
+  ASSERT_NE(rec, nullptr);
+  rec->clear();
+
   PathAuditor audit(fabric);
   fabric.sim().run_until(fabric.sim().now() + millis(300));
 
@@ -200,12 +219,29 @@ TEST(Fastpath, PathAuditHoldsWithFlowCacheEnabled) {
   EXPECT_TRUE(audit.violations().empty())
       << audit.violations().front();
 
-  // The cache actually served the forwarding decisions being audited.
-  std::uint64_t cache_hits = 0;
-  for (const PortlandSwitch* sw : fabric.switches()) {
-    cache_hits += sw->flow_cache_hits();
+  // Steady state: the FIB never changed, so no decision was recomputed
+  // against a different table.
+  EXPECT_EQ(total_rebuilds(), rebuilds0);
+  ASSERT_EQ(rec->records_evicted(), 0u);
+
+  // Flow-level ECMP straight from the FIB: while it is unchanged, every
+  // frame of a flow leaves each switch on the same uplink.
+  std::set<std::string> edges;
+  for (std::size_t pod = 0; pod < 4; ++pod) {
+    edges.insert(fabric.edge_at(pod, 0).name());
   }
-  EXPECT_GT(cache_hits, 500u);
+  std::map<std::string, std::set<std::uint32_t>> uplinks;
+  std::uint64_t edge_decisions = 0;
+  for (const obs::HopRecord& r : rec->merged()) {
+    if (r.event != obs::HopEvent::kEcmpChoice) continue;
+    uplinks[r.device].insert(r.port);
+    if (edges.count(r.device) != 0) ++edge_decisions;
+  }
+  EXPECT_GT(edge_decisions, 500u);
+  for (const std::string& edge : edges) EXPECT_EQ(uplinks.count(edge), 1u);
+  for (const auto& [device, ports] : uplinks) {
+    EXPECT_EQ(ports.size(), 1u) << device;
+  }
 }
 
 TEST(Fastpath, SmallFnHeapFallbackStillRuns) {

@@ -362,6 +362,32 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   EXPECT_FALSE(target.restore_snapshot(cut, &error));
 }
 
+TEST(Snapshot, RestoreRefusesOlderImageVersion) {
+  // Version 3 images still carried per-switch flow-cache sections; they
+  // must be refused at the header, never parsed as the current layout.
+  PortlandFabric fabric(small_options());
+  ASSERT_TRUE(fabric.run_until_converged());
+  std::vector<std::uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(fabric.save_snapshot(image, &error)) << error;
+
+  // The header is u32 magic, then u32 version: overwrite the version with
+  // 3, encoded by the writer itself so byte order matches.
+  std::vector<std::uint8_t> old_version;
+  sim::SnapshotWriter w(old_version);
+  w.u32(3);
+  ASSERT_EQ(old_version.size(), 4u);
+  std::vector<std::uint8_t> v3 = image;
+  std::copy(old_version.begin(), old_version.end(), v3.begin() + 4);
+
+  PortlandFabric target(small_options());
+  ASSERT_TRUE(target.run_until_converged());
+  EXPECT_FALSE(target.restore_snapshot(v3, &error));
+  EXPECT_EQ(error, "snapshot: version mismatch");
+  // Only the version differed: the untouched image restores.
+  EXPECT_TRUE(target.restore_snapshot(image, &error)) << error;
+}
+
 // ---------------------------------------------------------------------------
 // Flight-recorder trace ids (satellite): a restored fabric keeps handing
 // out fresh ids that never collide with ids burned before the save, and

@@ -556,8 +556,8 @@ TEST(Soak, BurstModeIsInvisibleToExecution) {
   expect_same_sim(on1, off_heap, "burst on vs off, heap, 1 worker");
 }
 
-// The compact prefix tables (flat host table, sorted pruned-up routes,
-// open-addressed flow cache) are a pure representation change: the same
+// The compact prefix tables (flat host table, sorted pruned-up routes)
+// are a pure representation change: the same
 // chaos scenario — link failures and repairs, a VM migration, TCP,
 // multicast — on the legacy std::map build must execute the identical
 // simulation. This is the equality proof behind E19: the memory savings

@@ -96,14 +96,8 @@ void BM_ControlRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ControlRoundTrip);
 
-sim::Simulator::Options scheduler_arg(const benchmark::State& state) {
-  return sim::Simulator::Options{state.range(0) == 0
-                                     ? sim::SchedulerKind::kHeap
-                                     : sim::SchedulerKind::kWheel};
-}
-
 void BM_ScheduleAt(benchmark::State& state) {
-  sim::Simulator sim(scheduler_arg(state));
+  sim::Simulator sim;
   Rng rng(10);
   std::size_t queued = 0;
   for (auto _ : state) {
@@ -119,13 +113,13 @@ void BM_ScheduleAt(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_ScheduleAt)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScheduleAt);
 
 void BM_TimerRearm(benchmark::State& state) {
   // The LDP-keepalive hot path: erase the pending shot, re-insert at a
   // new deadline, no closure rebuild. Erratic deadlines keep the wheel
-  // cascading and the heap sifting.
-  sim::Simulator sim(scheduler_arg(state));
+  // cascading.
+  sim::Simulator sim;
   Rng rng(11);
   sim::Timer timer(sim);
   timer.schedule_after(millis(1), [] {});
@@ -134,7 +128,7 @@ void BM_TimerRearm(benchmark::State& state) {
                 static_cast<SimDuration>(rng.next_below(millis(50))));
   }
 }
-BENCHMARK(BM_TimerRearm)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimerRearm);
 
 }  // namespace
 

@@ -1,7 +1,6 @@
 // E19 — production-scale memory footprint and startup cost.
 //
-// Builds one fabric per (k, table-mode) configuration and reports, per
-// row:
+// Builds one fabric per k and reports, per row:
 //   * construction wall-clock (topology + wiring, before any event runs),
 //   * startup-to-converged wall-clock (LDP discovery + the boot-time
 //     gratuitous-ARP storm that fills the fabric manager's registry),
@@ -15,18 +14,16 @@
 //     (bounded because all-to-all at k=48 would measure the workload
 //     generator, not the fabric).
 //
-// Table modes: the compact prefix tables (default) vs the legacy std::map
-// path (PortlandConfig::Tables::kLegacyMap, kept for exactly this
-// comparison). The headline metric is the legacy/compact bytes-per-host
-// ratio at the largest k where both run — the paper's O(k) state argument
-// (§3) only pays off at production scale if the constant factor is small.
+// The headline metric is counted table bytes per host — the paper's O(k)
+// state argument (§3) only pays off at production scale if the constant
+// factor is small. The seed's std::map tables counted 180 B/host; CI holds
+// the compact prefix tables to a third of that (bench/baseline.json).
 //
-// k=64 (65,536 hosts) runs behind --full, compact tables only: the point
-// of that row is "a k=64 fabric builds and converges on one core", not a
-// second copy of the ratio.
+// k=64 (65,536 hosts) runs behind --full: the point of that row is "a k=64
+// fabric builds and converges on one core".
 //
-// Usage: bench_e19_scale [--ks N[,N...]] [--full] [--legacy-max-k N]
-//                        [--flows N] [--measure-ms N] [--warm-ms N]
+// Usage: bench_e19_scale [--ks N[,N...]] [--full] [--flows N]
+//                        [--measure-ms N] [--warm-ms N]
 //                        [--converge-budget-s N] [--json PATH]
 #include <chrono>
 #include <cinttypes>
@@ -45,12 +42,11 @@ namespace {
 
 struct Args {
   std::vector<int> ks = {16, 32, 48};
-  bool full = false;            // adds k=64 (compact only)
-  int legacy_max_k = 48;        // legacy rows only for k <= this
+  bool full = false;            // adds k=64
   std::size_t flows = 256;      // steady-state probe flows
   SimDuration measure = millis(50);
   SimDuration warm = millis(20);
-  double converge_budget_s = 0; // >0: fail if any compact row exceeds it
+  double converge_budget_s = 0; // >0: fail if any row exceeds it
   std::string json_path;
 };
 
@@ -77,8 +73,6 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (arg == "--full") {
       a.full = true;
-    } else if (arg == "--legacy-max-k") {
-      a.legacy_max_k = std::atoi(next());
     } else if (arg == "--flows") {
       a.flows = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--measure-ms") {
@@ -100,7 +94,6 @@ Args parse_args(int argc, char** argv) {
 
 struct Row {
   int k = 0;
-  bool legacy = false;
   std::size_t hosts = 0;
   std::size_t switches = 0;
   bool converged = false;
@@ -115,11 +108,10 @@ struct Row {
   double frames_per_sec = 0;
 };
 
-Row run_one(const Args& args, int k, bool legacy) {
+Row run_one(const Args& args, int k) {
   Row row;
   row.k = k;
-  row.legacy = legacy;
-  std::printf("\n--- k=%d %s tables ---\n", k, legacy ? "legacy" : "compact");
+  std::printf("\n--- k=%d ---\n", k);
 
   const std::size_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
@@ -127,8 +119,6 @@ Row run_one(const Args& args, int k, bool legacy) {
   core::PortlandFabric::Options options;
   options.k = k;
   options.seed = 19;
-  options.config.tables = legacy ? core::PortlandConfig::Tables::kLegacyMap
-                                 : core::PortlandConfig::Tables::kCompact;
   auto fabric = std::make_unique<core::PortlandFabric>(options);
 
   const auto t1 = std::chrono::steady_clock::now();
@@ -192,39 +182,14 @@ void run(const Args& args) {
   print_header("E19: production-scale memory footprint and startup cost");
 
   std::vector<Row> rows;
-  for (const int k : args.ks) {
-    rows.push_back(run_one(args, k, /*legacy=*/false));
-    if (k <= args.legacy_max_k) {
-      rows.push_back(run_one(args, k, /*legacy=*/true));
-    }
-  }
-
-  // Headline ratio: legacy vs compact bytes/host at the largest k that ran
-  // in both modes.
-  double ratio = 0;
-  int ratio_k = 0;
-  for (const Row& r : rows) {
-    if (!r.legacy || !r.converged) continue;
-    for (const Row& c : rows) {
-      if (c.legacy || c.k != r.k || !c.converged) continue;
-      if (r.k > ratio_k) {
-        ratio_k = r.k;
-        ratio = r.table_bytes_per_host / c.table_bytes_per_host;
-      }
-    }
-  }
-  if (ratio_k != 0) {
-    std::printf("\nlegacy/compact bytes-per-host ratio at k=%d: %.2fx\n",
-                ratio_k, ratio);
-  }
+  for (const int k : args.ks) rows.push_back(run_one(args, k));
 
   bool budget_blown = false;
   if (args.converge_budget_s > 0) {
     for (const Row& r : rows) {
-      if (r.legacy) continue;
       const double wall = r.construct_s + r.converge_s;
       const bool ok = r.converged && wall <= args.converge_budget_s;
-      std::printf("%s  k=%d compact startup %.1f s vs budget %.1f s\n",
+      std::printf("%s  k=%d startup %.1f s vs budget %.1f s\n",
                   ok ? "ok  " : "FAIL", r.k, wall, args.converge_budget_s);
       if (!ok) budget_blown = true;
     }
@@ -234,17 +199,13 @@ void run(const Args& args) {
     JsonReport report("e19_scale");
     report.add("peak_rss_bytes_overall",
                static_cast<std::uint64_t>(peak_rss_bytes()));
-    if (ratio_k != 0) {
-      report.add("ratio_k", ratio_k);
-      report.add("legacy_over_compact_bytes_per_host", ratio);
-    }
     std::string arr = "[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       char buf[640];
       std::snprintf(
           buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"mode\": \"%s\", \"hosts\": %zu, "
+          "%s\n    {\"k\": %d, \"hosts\": %zu, "
           "\"switches\": %zu, \"converged\": %s, "
           "\"construct_seconds\": %.3f, \"converge_seconds\": %.3f, "
           "\"table_bytes\": %zu, \"host_table_bytes\": %zu, "
@@ -252,7 +213,7 @@ void run(const Args& args) {
           "\"other_bytes\": %zu, \"arena_reserved_bytes\": %zu, "
           "\"rss_delta_bytes\": %lld, \"table_bytes_per_host\": %.1f, "
           "\"rss_bytes_per_host\": %.1f, \"frames_per_sec\": %.1f}",
-          i == 0 ? "" : ",", r.k, r.legacy ? "legacy" : "compact", r.hosts,
+          i == 0 ? "" : ",", r.k, r.hosts,
           r.switches, r.converged ? "true" : "false", r.construct_s,
           r.converge_s, r.tables.total(), r.tables.host_table, r.tables.fib,
           r.tables.prunes, r.tables.multicast, r.tables.other, r.arena_reserved, r.rss_delta,
@@ -266,8 +227,7 @@ void run(const Args& args) {
 
   for (const Row& r : rows) {
     if (!r.converged) {
-      std::fprintf(stderr, "FAIL: k=%d %s did not converge\n", r.k,
-                   r.legacy ? "legacy" : "compact");
+      std::fprintf(stderr, "FAIL: k=%d did not converge\n", r.k);
       std::exit(1);
     }
   }

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 BUILD=build-tsan
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --parallel --target test_sim test_soak
+cmake --build "$BUILD" --parallel "$(nproc)" --target test_sim test_soak
 
 echo
 echo "################  test_sim / sharded engine (TSan)  ################"
@@ -22,4 +22,4 @@ echo "################  test_soak / parallel soak (TSan)  ################"
 # TSAN_OPTIONS halt_on_error makes a race fail the script, not just log.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/test_soak" \
-  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.FlightRecorderIsInvisibleToExecution:Soak.BurstModeIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant'
+  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.ChaosSoakMatchesGoldenDigest:Soak.FlightRecorderIsInvisibleToExecution:Soak.BurstModeIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant'

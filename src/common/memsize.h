@@ -1,10 +1,9 @@
 // Counted-bytes estimators for the state-size accounting (E5/E19).
 //
-// The compact tables report exact vector footprints; the legacy std::map /
-// std::set structures are estimated with libstdc++'s per-node overhead
-// (3 pointers + color word for an _Rb_tree_node) so the before/after
-// comparison charges the node-allocating containers what the allocator
-// actually hands them.
+// Vectors report exact footprints; std::map / std::set members are
+// estimated with libstdc++'s per-node overhead (3 pointers + color word
+// for an _Rb_tree_node) so the node-allocating containers are charged
+// what the allocator actually hands them.
 #pragma once
 
 #include <cstddef>

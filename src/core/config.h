@@ -88,15 +88,6 @@ struct PortlandConfig {
   /// why the paper hashes flows).
   enum class EcmpMode { kFlowHash, kPacketSpray };
   EcmpMode ecmp_mode = EcmpMode::kFlowHash;
-
-  // --- forwarding-state implementation (E19 scale work) ---
-  /// kCompact (default): flat PMAC-prefix tables — contiguous host table
-  /// with sorted indexes, flat pruned-route FIB. kLegacyMap: the seed's
-  /// node-allocating std::map structures, kept so the chaos soak can diff
-  /// frame traces against the compact build and the E19 bench can measure
-  /// the bytes-per-host gap.
-  enum class Tables { kCompact, kLegacyMap };
-  Tables tables = Tables::kCompact;
 };
 
 }  // namespace portland::core

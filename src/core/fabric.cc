@@ -30,8 +30,8 @@ PortlandFabric::PortlandFabric(Options options)
     : options_(std::move(options)),
       tree_(options_.k),
       net_(options_.seed,
-           {options_.scheduler, options_.burst, options_.max_train,
-            options_.adaptive_lookahead, options_.parallel_min_events}),
+           {options_.burst, options_.max_train, options_.adaptive_lookahead,
+            options_.parallel_min_events}),
       injector_(net_) {
   if (options_.workers == Options::kAutoWorkers) {
     // workers=auto: serial unless the box and the fabric can both feed a
@@ -320,7 +320,8 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 4;
+/// 5: switch sections lost the legacy pruned-route map count.
+constexpr std::uint32_t kSnapshotVersion = 5;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,

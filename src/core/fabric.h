@@ -77,10 +77,6 @@ class PortlandFabric {
     /// Pooled-window threshold (Simulator::Options::parallel_min_events);
     /// 0 forces every window through the worker pool.
     std::uint32_t parallel_min_events = 128;
-    /// Event-queue implementation (see Simulator::Options): the default
-    /// hierarchical timing wheel, or the classic binary heap for A/B
-    /// determinism diffing. Both schedule the identical event sequence.
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel;
     /// Observability. Everything here is passive: enabling any of it
     /// cannot change the event schedule (Soak pins this).
     struct ObsOptions {

@@ -24,7 +24,6 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
       id_(id),
       control_(&control),
       config_(config),
-      legacy_tables_(config.tables == PortlandConfig::Tables::kLegacyMap),
       rng_(rng),
       ldp_(sim, id, num_ports, config,
            LdpAgent::Hooks{
@@ -38,13 +37,12 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
                },
            },
            rng.fork()),
-      host_table_(config.tables == PortlandConfig::Tables::kLegacyMap),
+      next_vmid_(num_ports, 0),
       hello_timer_(sim),
       hello_periodic_(sim, config.hello_interval, [this] { send_hello(); }),
       refresh_periodic_(sim, config.host_reregister_interval,
                         [this] { send_soft_state_refresh(); }) {
   add_ports(num_ports);
-  if (!legacy_tables_) next_vmid_.assign(num_ports, 0);
   // An edge's hosts hang off its down ports (at most half the radix);
   // the hint is applied lazily, so non-edge switches never allocate.
   host_table_.reserve(std::max<std::size_t>(1, num_ports / 2));
@@ -265,15 +263,14 @@ void PortlandSwitch::rebuild_fib() const {
   fib_.prune_gen = prune_generation_;
   fib_.base_up = ldp_.up_ports();
   fib_.pruned_up.clear();
-  fib_.pruned_up_map.clear();
   fib_.down_by_position.clear();
   fib_.down_by_pod.clear();
 
   // One prune-applied candidate array per installed destination key. Fine
   // (pod, position) entries fold in the pod-wide coarse set so lookups
   // never merge sets per packet. prunes_ iterates in (pod, position)
-  // order, so the compact flat table comes out sorted by its u32 key.
-  if (!legacy_tables_) fib_.pruned_up.reserve(prunes_.size());
+  // order, so the flat table comes out sorted by its u32 key.
+  fib_.pruned_up.reserve(prunes_.size());
   for (const auto& [key, avoid] : prunes_) {
     const std::set<SwitchId>* coarse = nullptr;
     if (key.position != kUnknownPosition) {
@@ -289,12 +286,8 @@ void PortlandSwitch::rebuild_fib() const {
       if (coarse != nullptr && coarse->count(nbr->switch_id) != 0) continue;
       candidates.push_back(p);
     }
-    if (legacy_tables_) {
-      fib_.pruned_up_map.emplace(key, std::move(candidates));
-    } else {
-      fib_.pruned_up.push_back(PrunedRoute{
-          dst_key_u32(key.pod, key.position), std::move(candidates)});
-    }
+    fib_.pruned_up.push_back(PrunedRoute{dst_key_u32(key.pod, key.position),
+                                         std::move(candidates)});
   }
 
   // Down-path indexes: aggregation forwards by the PMAC's position field,
@@ -325,19 +318,7 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
   ++up_decisions_;
 
   const std::vector<sim::PortId>* candidates = &fib.base_up;
-  if (legacy_tables_) {
-    if (!fib.pruned_up_map.empty()) {
-      if (const auto it =
-              fib.pruned_up_map.find(DstKey{dst_pod, dst_position});
-          it != fib.pruned_up_map.end()) {
-        candidates = &it->second;
-      } else if (const auto cit =
-                     fib.pruned_up_map.find(DstKey{dst_pod, kUnknownPosition});
-                 cit != fib.pruned_up_map.end()) {
-        candidates = &cit->second;
-      }
-    }
-  } else if (!fib.pruned_up.empty()) {
+  if (!fib.pruned_up.empty()) {
     // Fine (pod, position) entry first, then the pod-wide coarse entry —
     // both binary searches over the sorted flat table.
     const auto find_route = [&fib](std::uint32_t k) {
@@ -787,7 +768,7 @@ HostEntry* PortlandSwitch::ensure_host(sim::PortId port, MacAddress amac,
     if (e->port != port) {
       // Same edge switch, different port (local migration): new PMAC.
       e->port = port;
-      std::uint16_t& vmid = vmid_counter(port);
+      std::uint16_t& vmid = next_vmid_[port];
       vmid = next_vmid(vmid);
       host_table_.rekey_pmac(
           *e, Pmac{self.pod, self.position, static_cast<std::uint8_t>(port),
@@ -809,7 +790,7 @@ HostEntry* PortlandSwitch::ensure_host(sim::PortId port, MacAddress amac,
   e.amac = amac;
   e.ip = ip_hint;
   e.port = port;
-  std::uint16_t& vmid = vmid_counter(port);
+  std::uint16_t& vmid = next_vmid_[port];
   vmid = next_vmid(vmid);
   e.pmac = Pmac{self.pod, self.position, static_cast<std::uint8_t>(port),
                 vmid};
@@ -992,11 +973,24 @@ void save_ports(sim::SnapshotWriter& w, const std::vector<sim::PortId>& v) {
   for (const sim::PortId p : v) w.u64(p);
 }
 
-void restore_ports(sim::SnapshotReader& r, std::vector<sim::PortId>& v) {
+/// Reads one port id, failing the reader unless it is below `port_count`.
+sim::PortId restore_port(sim::SnapshotReader& r, std::size_t port_count) {
+  const std::uint64_t p = r.u64();
+  if (p >= port_count) {
+    r.fail();
+    return 0;
+  }
+  return static_cast<sim::PortId>(p);
+}
+
+void restore_ports(sim::SnapshotReader& r, std::size_t port_count,
+                   std::vector<sim::PortId>& v) {
   v.clear();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(sizeof(std::uint64_t));
   v.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.u64());
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    v.push_back(restore_port(r, port_count));
+  }
 }
 
 void save_port_set(sim::SnapshotWriter& w, const PortSet& s) {
@@ -1004,11 +998,13 @@ void save_port_set(sim::SnapshotWriter& w, const PortSet& s) {
   s.for_each([&w](std::size_t p) { w.u64(p); });
 }
 
-PortSet restore_port_set(sim::SnapshotReader& r) {
+PortSet restore_port_set(sim::SnapshotReader& r, std::size_t port_count) {
   PortSet s;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(sizeof(std::uint64_t));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    s.insert(static_cast<std::size_t>(r.u64()));
+    const sim::PortId p =
+        restore_port(r, std::min(port_count, PortSet::kMaxPorts));
+    if (r.ok()) s.insert(p);
   }
   return s;
 }
@@ -1021,16 +1017,8 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
   for (const std::uint64_t word : rng) w.u64(word);
 
   host_table_.save_state(w);
-  if (legacy_tables_) {
-    w.u32(static_cast<std::uint32_t>(next_vmid_map_.size()));
-    for (const auto& [port, vmid] : next_vmid_map_) {
-      w.u64(port);
-      w.u16(vmid);
-    }
-  } else {
-    w.u32(static_cast<std::uint32_t>(next_vmid_.size()));
-    for (const std::uint16_t vmid : next_vmid_) w.u16(vmid);
-  }
+  w.u32(static_cast<std::uint32_t>(next_vmid_.size()));
+  for (const std::uint16_t vmid : next_vmid_) w.u16(vmid);
 
   w.u32(static_cast<std::uint32_t>(redirects_.size()));
   for (const auto& [old_pmac, redirect] : redirects_) {
@@ -1088,12 +1076,6 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(route.key);
     save_ports(w, route.ports);
   }
-  w.u32(static_cast<std::uint32_t>(fib_.pruned_up_map.size()));
-  for (const auto& [key, ports] : fib_.pruned_up_map) {
-    w.u16(key.pod);
-    w.u8(key.position);
-    save_ports(w, ports);
-  }
   w.u32(static_cast<std::uint32_t>(fib_.down_by_position.size()));
   for (const std::int32_t p : fib_.down_by_position) {
     w.u32(static_cast<std::uint32_t>(p));
@@ -1140,28 +1122,24 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   for (std::uint64_t& word : rng) word = r.u64();
   rng_.set_state(rng);
 
-  host_table_.restore_state(r);
-  if (legacy_tables_) {
-    next_vmid_map_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      const sim::PortId port = r.u64();
-      next_vmid_map_[port] = r.u16();
-    }
-  } else {
-    const std::uint32_t n = r.u32();
-    next_vmid_.assign(n, 0);
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) next_vmid_[i] = r.u16();
+  host_table_.restore_state(r, port_count());
+  // One counter per port: an image for a different radix cannot restore.
+  if (r.u32() != next_vmid_.size()) r.fail();
+  for (std::size_t i = 0; i < next_vmid_.size() && r.ok(); ++i) {
+    next_vmid_[i] = r.u16();
   }
 
+  // Every count below is checked against the bytes left (the minimum
+  // encoded size per item), and every port id against port_count().
+  const std::size_t ports = port_count();
   redirects_.clear();
-  const std::uint32_t n_redirects = r.u32();
+  const std::uint32_t n_redirects = r.count(8 + 8 + 4 + 4);
   for (std::uint32_t i = 0; i < n_redirects && r.ok(); ++i) {
     const MacAddress old_pmac = MacAddress::from_u64(r.u64());
     Redirect redirect;
     redirect.new_pmac = MacAddress::from_u64(r.u64());
     redirect.ip = Ipv4Address(r.u32());
-    const std::uint32_t n_senders = r.u32();
+    const std::uint32_t n_senders = r.count(8);
     for (std::uint32_t j = 0; j < n_senders && r.ok(); ++j) {
       redirect.garp_sent_to.insert(MacAddress::from_u64(r.u64()));
     }
@@ -1169,11 +1147,13 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
 
   pending_arps_.clear();
-  const std::uint32_t n_arps = r.u32();
+  // Per pending query: id, port, three addresses, target, frame flag,
+  // timer record (2 + 4 + 8 + 8), waiter count.
+  const std::uint32_t n_arps = r.count(4 + 8 + 8 + 8 + 4 + 4 + 1 + 22 + 4);
   for (std::uint32_t i = 0; i < n_arps && r.ok(); ++i) {
     const std::uint32_t query_id = r.u32();
     PendingArp pending;
-    pending.host_port = r.u64();
+    pending.host_port = restore_port(r, ports);
     pending.requester_amac = MacAddress::from_u64(r.u64());
     pending.requester_pmac = MacAddress::from_u64(r.u64());
     pending.requester_ip = Ipv4Address(r.u32());
@@ -1182,11 +1162,11 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     pending.timer = std::make_unique<sim::Timer>(sim());
     pending.timer->restore_at(
         r, [this, query_id] { flood_arp_fallback(query_id); });
-    const std::uint32_t n_waiters = r.u32();
+    const std::uint32_t n_waiters = r.count(8 + 8 + 8 + 4 + 1);
     pending.waiters.reserve(n_waiters);
     for (std::uint32_t j = 0; j < n_waiters && r.ok(); ++j) {
       ArpWaiter waiter;
-      waiter.host_port = r.u64();
+      waiter.host_port = restore_port(r, ports);
       waiter.amac = MacAddress::from_u64(r.u64());
       waiter.pmac = MacAddress::from_u64(r.u64());
       waiter.ip = Ipv4Address(r.u32());
@@ -1203,7 +1183,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
   std::sort(pending_by_target_.begin(), pending_by_target_.end());
   arp_negative_.clear();
-  const std::uint32_t n_negative = r.u32();
+  const std::uint32_t n_negative = r.count(4 + 8);
   arp_negative_.reserve(n_negative);
   for (std::uint32_t i = 0; i < n_negative && r.ok(); ++i) {
     NegativeArp e;
@@ -1213,13 +1193,13 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
 
   prunes_.clear();
-  const std::uint32_t n_prunes = r.u32();
+  const std::uint32_t n_prunes = r.count(2 + 1 + 4);
   for (std::uint32_t i = 0; i < n_prunes && r.ok(); ++i) {
     DstKey key;
     key.pod = r.u16();
     key.position = r.u8();
     std::set<SwitchId>& avoid = prunes_[key];
-    const std::uint32_t n_avoid = r.u32();
+    const std::uint32_t n_avoid = r.count(8);
     for (std::uint32_t j = 0; j < n_avoid && r.ok(); ++j) {
       avoid.insert(r.u64());
     }
@@ -1228,62 +1208,55 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
 
   fib_.ldp_gen = r.u64();
   fib_.prune_gen = r.u64();
-  restore_ports(r, fib_.base_up);
+  restore_ports(r, ports, fib_.base_up);
   fib_.pruned_up.clear();
-  const std::uint32_t n_routes = r.u32();
+  const std::uint32_t n_routes = r.count(4 + 4);
   fib_.pruned_up.reserve(n_routes);
   for (std::uint32_t i = 0; i < n_routes && r.ok(); ++i) {
     PrunedRoute route;
     route.key = r.u32();
-    restore_ports(r, route.ports);
+    restore_ports(r, ports, route.ports);
     fib_.pruned_up.push_back(std::move(route));
   }
-  fib_.pruned_up_map.clear();
-  const std::uint32_t n_route_map = r.u32();
-  for (std::uint32_t i = 0; i < n_route_map && r.ok(); ++i) {
-    DstKey key;
-    key.pod = r.u16();
-    key.position = r.u8();
-    restore_ports(r, fib_.pruned_up_map[key]);
-  }
-  const std::uint32_t n_by_pos = r.u32();
-  fib_.down_by_position.assign(n_by_pos, -1);
-  for (std::uint32_t i = 0; i < n_by_pos && r.ok(); ++i) {
-    fib_.down_by_position[i] = static_cast<std::int32_t>(r.u32());
-  }
-  const std::uint32_t n_by_pod = r.u32();
-  fib_.down_by_pod.assign(n_by_pod, -1);
-  for (std::uint32_t i = 0; i < n_by_pod && r.ok(); ++i) {
-    fib_.down_by_pod[i] = static_cast<std::int32_t>(r.u32());
+  // Down-path indexes hold a port id or -1 (none).
+  for (std::vector<std::int32_t>* index :
+       {&fib_.down_by_position, &fib_.down_by_pod}) {
+    const std::uint32_t n = r.count(4);
+    index->assign(n, -1);
+    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+      const auto p = static_cast<std::int32_t>(r.u32());
+      if (p < -1 || p >= static_cast<std::int64_t>(ports)) r.fail();
+      (*index)[i] = p;
+    }
   }
 
   up_decisions_ = r.u64();
   fib_rebuilds_ = r.u64();
 
   mcast_ports_.clear();
-  const std::uint32_t n_mcast = r.u32();
+  const std::uint32_t n_mcast = r.count(4 + 4);
   for (std::uint32_t i = 0; i < n_mcast && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
-    mcast_ports_[group] = restore_port_set(r);
+    mcast_ports_[group] = restore_port_set(r, ports);
   }
   local_members_.clear();
-  const std::uint32_t n_members = r.u32();
+  const std::uint32_t n_members = r.count(4 + 4);
   for (std::uint32_t i = 0; i < n_members && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
-    local_members_[group] = restore_port_set(r);
+    local_members_[group] = restore_port_set(r, ports);
   }
   mcast_sender_reported_.clear();
-  const std::uint32_t n_senders = r.u32();
+  const std::uint32_t n_senders = r.count(4);
   for (std::uint32_t i = 0; i < n_senders && r.ok(); ++i) {
     mcast_sender_reported_.insert(Ipv4Address(r.u32()));
   }
 
   reported_down_.clear();
-  const std::uint32_t n_faults = r.u32();
+  const std::uint32_t n_faults = r.count(8 + 8);
   reported_down_.reserve(n_faults);
   for (std::uint32_t i = 0; i < n_faults && r.ok(); ++i) {
     PortFault fault;
-    fault.port = r.u64();
+    fault.port = restore_port(r, ports);
     fault.neighbor = r.u64();
     reported_down_.push_back(fault);
   }
@@ -1323,9 +1296,6 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
 
   b.fib = vector_bytes(fib_.base_up) + vector_bytes(fib_.down_by_position) +
           vector_bytes(fib_.down_by_pod);
-  for (const auto& [key, ports] : fib_.pruned_up_map) {
-    b.fib += sizeof(key) + kTreeNodeOverhead + vector_bytes(ports);
-  }
   b.fib += vector_bytes(fib_.pruned_up);
   for (const PrunedRoute& r : fib_.pruned_up) b.fib += vector_bytes(r.ports);
 
@@ -1336,10 +1306,9 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
   b.multicast = map_bytes(mcast_ports_) + map_bytes(local_members_) +
                 set_bytes(mcast_sender_reported_);
 
-  b.other = (legacy_tables_ ? map_bytes(next_vmid_map_)
-                            : vector_bytes(next_vmid_)) +
-            vector_bytes(reported_down_) + map_bytes(redirects_) +
-            vector_bytes(pending_by_target_) + vector_bytes(arp_negative_);
+  b.other = vector_bytes(next_vmid_) + vector_bytes(reported_down_) +
+            map_bytes(redirects_) + vector_bytes(pending_by_target_) +
+            vector_bytes(arp_negative_);
   return b;
 }
 

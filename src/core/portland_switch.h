@@ -98,9 +98,9 @@ class PortlandSwitch : public sim::Device {
   /// events, never packet count).
   [[nodiscard]] std::uint64_t fib_rebuilds() const { return fib_rebuilds_; }
 
-  /// Counted forwarding-state bytes by component (E19). Compact tables
-  /// report exact vector footprints; legacy maps report estimated
-  /// allocator footprints (see common/memsize.h).
+  /// Counted forwarding-state bytes by component (E19). Vectors report
+  /// exact footprints; the remaining std::map/std::set members report
+  /// estimated allocator footprints (see common/memsize.h).
   struct TableBytes {
     std::size_t host_table = 0;
     std::size_t fib = 0;
@@ -148,8 +148,8 @@ class PortlandSwitch : public sim::Device {
 
   /// One prune-applied uplink candidate array, keyed by the PMAC prefix
   /// (pod << 8 | position) — u32 order equals DstKey's (pod, position)
-  /// lexicographic order, so the flat table sorts identically to the
-  /// legacy map and lookups binary-search it.
+  /// lexicographic order, so the flat table sorts like prunes_ and
+  /// lookups binary-search it.
   struct PrunedRoute {
     std::uint32_t key = 0;
     std::vector<sim::PortId> ports;
@@ -171,9 +171,8 @@ class PortlandSwitch : public sim::Device {
     std::vector<sim::PortId> base_up;
     /// Per-destination uplink candidate arrays with the avoid sets already
     /// subtracted (fine entries also fold in the pod-wide coarse set).
-    /// Compact build: sorted flat vector; legacy build: the seed's map.
+    /// Sorted flat vector, binary-searched by PMAC prefix.
     std::vector<PrunedRoute> pruned_up;
-    std::map<DstKey, std::vector<sim::PortId>> pruned_up_map;
     /// Aggregation: edge position -> down port (-1 = none).
     std::vector<std::int32_t> down_by_position;
     /// Core: pod -> down port (-1 = none).
@@ -233,10 +232,6 @@ class PortlandSwitch : public sim::Device {
   // --- host registration ---
   HostEntry* ensure_host(sim::PortId port, MacAddress amac,
                          Ipv4Address ip_hint);
-  /// The per-port vmid counter of whichever table build is active.
-  [[nodiscard]] std::uint16_t& vmid_counter(sim::PortId port) {
-    return legacy_tables_ ? next_vmid_map_[port] : next_vmid_[port];
-  }
 
   // --- control plane ---
   void on_control(const ControlMessage& msg);
@@ -255,17 +250,13 @@ class PortlandSwitch : public sim::Device {
   SwitchId id_;
   ControlPlane* control_;
   PortlandConfig config_;
-  bool legacy_tables_;
   Rng rng_;
   LdpAgent ldp_;
 
-  // Edge state. The host table is compact or legacy per config, and so
-  // are the per-port vmid counters: a flat dense vector by default, the
-  // seed's ordered map behind kLegacyMap (same values either way — the
-  // split exists so E19 measures the honest before/after bytes).
+  // Edge state: the compact host table and one dense vmid counter per
+  // port.
   HostTable host_table_;
-  std::vector<std::uint16_t> next_vmid_;          // compact build
-  std::map<sim::PortId, std::uint16_t> next_vmid_map_;  // legacy build
+  std::vector<std::uint16_t> next_vmid_;
   std::map<MacAddress, Redirect> redirects_;  // old pmac -> new location
   std::map<std::uint32_t, PendingArp> pending_arps_;
   std::uint32_t next_query_id_ = 1;

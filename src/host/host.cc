@@ -368,13 +368,15 @@ void Host::restore_state(sim::SnapshotReader& r) {
   arp_cache_.restore_state(r);
 
   pending_.clear();
-  const std::uint32_t n_pending = r.u32();
+  // Per pending resolution: dst, retries, first-request time, frame
+  // count, timer record.
+  const std::uint32_t n_pending = r.count(4 + 4 + 8 + 4 + 22);
   for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
     const Ipv4Address dst(r.u32());
     Pending& p = pending_[dst];
     p.retries = static_cast<int>(r.u32());
     p.first_request_at = r.i64();
-    const std::uint32_t n_frames = r.u32();
+    const std::uint32_t n_frames = r.count(4);
     for (std::uint32_t j = 0; j < n_frames && r.ok(); ++j) {
       p.frames.push_back(r.blob());
     }
@@ -385,7 +387,7 @@ void Host::restore_state(sim::SnapshotReader& r) {
   next_ephemeral_port_ = r.u16();
   arp_requests_sent_ = r.u64();
 
-  const std::uint32_t n_conns = r.u32();
+  const std::uint32_t n_conns = r.count(4 + 2 + 2);
   std::vector<TcpEndpointKey> restored;
   restored.reserve(n_conns);
   for (std::uint32_t i = 0; i < n_conns && r.ok(); ++i) {

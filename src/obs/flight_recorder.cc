@@ -161,7 +161,10 @@ void FlightRecorder::save_state(sim::SnapshotWriter& w) const {
 
 void FlightRecorder::restore_state(sim::SnapshotReader& r) {
   const std::uint32_t n = r.u32();
-  if (n != logs_.size()) return;  // shard-count mismatch; caller validates
+  if (n != logs_.size()) {  // shard-count mismatch
+    r.fail();
+    return;
+  }
   for (ShardLog& log : logs_) {
     log.ring.clear();
     log.drops.clear();

@@ -198,7 +198,7 @@ void Link::restore_state(SnapshotReader& r) {
     d.epoch = r.u64();
     d.drains.clear();
     d.drain_head = 0;
-    const std::uint32_t n_drains = r.u32();
+    const std::uint32_t n_drains = r.count(8 + 4);
     for (std::uint32_t i = 0; i < n_drains && r.ok(); ++i) {
       const SimTime done = r.i64();
       const std::uint32_t bytes = r.u32();
@@ -207,7 +207,8 @@ void Link::restore_state(SnapshotReader& r) {
     Train& tr = train_[side_index(side)];
     tr.entries.clear();
     tr.scheduled = false;
-    const std::uint32_t n_entries = r.u32();
+    // Per entry: time, seq, epoch, frame presence flag.
+    const std::uint32_t n_entries = r.count(8 + 8 + 8 + 1);
     for (std::uint32_t i = 0; i < n_entries && r.ok(); ++i) {
       TrainEntry e;
       e.time = r.i64();

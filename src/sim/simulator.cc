@@ -29,19 +29,14 @@ thread_local ExecCtx g_ctx;
 Simulator::Simulator() : Simulator(Options{}) {}
 
 Simulator::Simulator(Options options)
-    : scheduler_(options.scheduler),
-      burst_(options.burst),
+    : burst_(options.burst),
       adaptive_lookahead_(options.adaptive_lookahead),
       max_train_(options.max_train),
       parallel_min_events_(options.parallel_min_events),
       hw_cores_(std::max(1u, std::thread::hardware_concurrency())) {
   shards_.push_back(std::make_unique<Shard>());
   Shard& sh = *shards_[0];
-  if (scheduler_ == SchedulerKind::kWheel) {
-    sh.wheel.reserve(kDefaultEventCapacity);
-  } else {
-    sh.queue.reserve(kDefaultEventCapacity);
-  }
+  sh.wheel.reserve(kDefaultEventCapacity);
   sh.slots.reserve(kDefaultEventCapacity);
   sh.free_slots.reserve(kDefaultEventCapacity);
 }
@@ -77,21 +72,13 @@ void Simulator::release_slot(Shard& sh, std::uint32_t slot) {
 
 std::uint32_t Simulator::push_node(Shard& sh, SimTime t, std::uint32_t slot) {
   ++sh.nodes_pushed;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.insert(t, sh.next_seq++, slot);
-  }
-  sh.queue.push(QNode{t, sh.next_seq++, slot});
-  return slot;
+  return sh.wheel.insert(t, sh.next_seq++, slot);
 }
 
 std::uint32_t Simulator::push_node_at(Shard& sh, SimTime t, std::uint64_t seq,
                                       std::uint32_t slot) {
   ++sh.nodes_pushed;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.insert(t, seq, slot);
-  }
-  sh.queue.push(QNode{t, seq, slot});
-  return slot;
+  return sh.wheel.insert(t, seq, slot);
 }
 
 void Simulator::schedule_local(Shard& sh, SimTime t, SmallFn fn) {
@@ -307,17 +294,9 @@ void Simulator::cancel_timer(TimerCore& core) {
       !configured_ || ctx == owner || (ctx == kNoShard && !in_window_);
   if (!safe) return;
   Shard& sh = *shards_[owner];
-  if (scheduler_ == SchedulerKind::kWheel) {
-    const std::uint32_t slot = sh.wheel.erase(core.handle);
-    sh.slots[slot].timer.reset();
-    release_slot(sh, slot);
-  } else {
-    // The heap node keeps sifting, but the payload — and with it the
-    // TimerCore reference — is released now. The husk is purged the next
-    // time it surfaces at the top (peek_time), so it never delays a
-    // window boundary past what the wheel engine would compute.
-    sh.slots[core.handle].timer.reset();
-  }
+  const std::uint32_t slot = sh.wheel.erase(core.handle);
+  sh.slots[slot].timer.reset();
+  release_slot(sh, slot);
   --sh.live;
   core.handle = TimerCore::kNilHandle;
   core.shard = kNoShard;
@@ -368,11 +347,7 @@ void Simulator::configure_shards(std::size_t count, SimDuration lookahead,
   shards_.reserve(count);
   while (shards_.size() < count) {
     auto sh = std::make_unique<Shard>();
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh->wheel.reserve(kDefaultEventCapacity);
-    } else {
-      sh->queue.reserve(kDefaultEventCapacity);
-    }
+    sh->wheel.reserve(kDefaultEventCapacity);
     sh->slots.reserve(kDefaultEventCapacity);
     sh->free_slots.reserve(kDefaultEventCapacity);
     sh->now = shards_[0]->now;
@@ -424,11 +399,7 @@ Rng& Simulator::shard_rng(ShardId shard) {
 
 void Simulator::reserve_events(std::size_t capacity) {
   for (auto& sh : shards_) {
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh->wheel.reserve(capacity);
-    } else {
-      sh->queue.reserve(capacity);
-    }
+    sh->wheel.reserve(capacity);
     sh->slots.reserve(capacity);
     sh->free_slots.reserve(capacity);
   }
@@ -445,43 +416,11 @@ void Simulator::fire_timer(TimerCore& core, std::uint64_t generation) {
   if (!core.fn && fn) core.fn = std::move(fn);
 }
 
-SimTime Simulator::peek_time(Shard& sh) {
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.peek();  // TimingWheel::kNoEvent == kNever
-  }
-  // Purge cancelled husks here — not lazily at pop — so the earliest
-  // *live* time drives run_until and window boundaries, matching the
-  // wheel engine's true-erase semantics exactly.
-  while (!sh.queue.empty()) {
-    const QNode& top = sh.queue.top();
-    EventPayload& slot = sh.slots[top.slot];
-    if (slot.fn || slot.timer != nullptr || slot.train != nullptr ||
-        slot.data_owner != nullptr) {
-      return top.time;
-    }
-    release_slot(sh, top.slot);
-    sh.queue.pop();
-  }
-  return kNever;
-}
-
 void Simulator::dispatch_one(Shard& sh, SimTime bound) {
-  SimTime time;
-  std::uint32_t payload;
-  std::uint32_t handle;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    const TimingWheel::PopResult r = sh.wheel.pop();
-    if (!r.live) return;  // cancelled while staged; slot already released
-    time = r.time;
-    payload = r.payload;
-    handle = TimerCore::kNilHandle;  // wheel node already freed by pop()
-  } else {
-    const QNode node = sh.queue.top();
-    sh.queue.pop();
-    time = node.time;
-    payload = node.slot;
-    handle = node.slot;
-  }
+  const TimingWheel::PopResult r = sh.wheel.pop();
+  if (!r.live) return;  // cancelled while staged; slot already released
+  const SimTime time = r.time;
+  const std::uint32_t payload = r.payload;
   // The payload must be moved out and its slot released before running:
   // the callback may schedule new events, reusing (or growing) the pool.
   EventPayload& slot = sh.slots[payload];
@@ -490,8 +429,8 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     // carries this pop's exact (time, seq). Deliver it, then keep
     // draining entries that are strictly earlier than both the bound and
     // every other queued event; the first entry that ties or trails
-    // hands the train back to the scheduler at its own (time, seq), so
-    // the global dispatch order is the classic one, event for event.
+    // hands the train back to the wheel at its own (time, seq), so the
+    // global dispatch order is the classic one, event for event.
     Train* tr = slot.train;
     slot.train = nullptr;
     release_slot(sh, payload);
@@ -544,26 +483,17 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     --sh.live;
     if (timer->generation != gen) {
       // Tombstone from an unsafe (cross-shard) cancel: decays silently —
-      // no clock advance, no executed count — identically in both
-      // schedulers, so A/B traces stay aligned.
+      // no clock advance, no executed count.
       return;
     }
-    // This is the core's current shot: its handle dies with this pop.
-    // Clear it before firing so a rearm inside the callback installs a
-    // fresh handle we do not clobber.
-    if (handle == TimerCore::kNilHandle || timer->handle == handle) {
-      timer->handle = TimerCore::kNilHandle;
-      timer->shard = kNoShard;
-    }
+    // This is the core's current shot: its wheel node died with this
+    // pop. Clear the handle before firing so a rearm inside the callback
+    // installs a fresh handle we do not clobber.
+    timer->handle = TimerCore::kNilHandle;
+    timer->shard = kNoShard;
     sh.now = time;
     ++sh.executed;
     fire_timer(*timer, gen);
-    return;
-  }
-  if (!slot.fn) {
-    // Heap husk (cancelled shot) that dispatch reached before a peek
-    // purged it. live was already decremented at cancel.
-    release_slot(sh, payload);
     return;
   }
   SmallFn fn = std::move(slot.fn);

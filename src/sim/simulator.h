@@ -4,27 +4,21 @@
 // Events scheduled for the same instant fire in insertion order, which —
 // together with seeded RNG — makes every run exactly reproducible.
 //
-// Two interchangeable schedulers sit behind `Simulator::Options::scheduler`:
+// The queue is a hierarchical timing wheel (see timing_wheel.h). Four
+// cascading 256-bucket levels index times by successive 8-bit digits (ns
+// pages of 256 ns / ~65 us / ~16.8 ms / ~4.29 s spans); far-future events
+// park in a sorted-on-demand overflow. Schedule, timer re-arm, and true
+// cancellation are all O(1) intrusive-list splices. Determinism rules:
+// same-instant events fire in exact (time, seq) order — the due bucket is
+// staged and sorted by seq before dispatch — and cascading relocates
+// nodes without touching times or seqs. Golden trace digests in the test
+// suite pin the full dispatch sequence.
 //
-//  - `kWheel` (default): a hierarchical timing wheel (see timing_wheel.h).
-//    Four cascading 256-bucket levels index times by successive 8-bit
-//    digits (ns pages of 256 ns / ~65 us / ~16.8 ms / ~4.29 s spans);
-//    far-future events park in a sorted-on-demand overflow. Schedule,
-//    timer re-arm, and true cancellation are all O(1) intrusive-list
-//    splices. Determinism rules: same-instant events still fire in exact
-//    (time, seq) order — the due bucket is staged and sorted by seq
-//    before dispatch — and cascading relocates nodes without touching
-//    times or seqs, so `run_until` boundaries and the full dispatch
-//    sequence are bit-identical to the heap scheduler's.
-//  - `kHeap`: the classic binary heap of slim 24-byte {time, seq, slot}
-//    nodes (O(log n) per operation), kept selectable so tests and benches
-//    can diff the two engines event-for-event.
-//
-// Under both schedulers the callback payloads live in a stable,
-// free-listed slot pool beside the queue — reordering never moves a
-// closure. Callbacks are stored in `SmallFn`, a move-only callable with
-// inline storage sized for the fabric's event lambdas, so scheduling an
-// event performs no heap allocation at steady state.
+// The callback payloads live in a stable, free-listed slot pool beside
+// the queue — cascading never moves a closure. Callbacks are stored in
+// `SmallFn`, a move-only callable with inline storage sized for the
+// fabric's event lambdas, so scheduling an event performs no heap
+// allocation at steady state.
 //
 // Sharded mode (`configure_shards` + `set_workers`) turns the engine into
 // a conservative parallel discrete-event simulator: every device belongs
@@ -37,7 +31,7 @@
 // canonical (time, src-shard, push-order) order. Because mailbox merge
 // order — not thread completion order — assigns sequence numbers, an
 // N-worker run schedules exactly the same event sequence as a 1-worker
-// run, under either scheduler. Classic (unsharded) mode is the default.
+// run. Classic (unsharded) mode is the default.
 //
 // `Timer` and `PeriodicTimer` are cancellable wrappers used throughout the
 // protocol implementations (LDP keepalives, ARP retries, TCP RTO, ...).
@@ -63,7 +57,6 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <queue>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -95,12 +88,6 @@ using ShardId = std::uint32_t;
 /// mode lands in the globally-serialized barrier task queue.
 constexpr ShardId kNoShard = 0xFFFFFFFFu;
 
-/// Which event-queue implementation a Simulator runs on.
-enum class SchedulerKind : std::uint8_t {
-  kHeap,   // binary heap: O(log n) schedule/pop, cancelled shots tombstone
-  kWheel,  // hierarchical timing wheel: O(1) schedule/cancel/rearm
-};
-
 /// Move-only type-erased callable with inline storage. Captures up to
 /// kInlineSize bytes live inside the object (no allocation); larger
 /// closures fall back to the heap transparently. This is what the event
@@ -128,7 +115,7 @@ class SmallFn {
       vtable_ = &kInlineVTable<Fn>;
     } else {
       *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vtable_ = &kHeapVTable<Fn>;
+      vtable_ = &kBoxedVTable<Fn>;
     }
   }
 
@@ -165,7 +152,7 @@ class SmallFn {
       },
   };
   template <typename Fn>
-  static constexpr VTable kHeapVTable{
+  static constexpr VTable kBoxedVTable{
       [](void* p) { (**static_cast<Fn**>(p))(); },
       [](void* p) { delete *static_cast<Fn**>(p); },
       [](void* dst, void* src) {
@@ -209,9 +196,8 @@ struct DataEventOwner {
 /// Shared state behind a Timer. Events reference the core, never the
 /// Timer object, so destroying an armed Timer is safe. The callback lives
 /// here so a rearm does not rebuild it. `shard`/`handle` locate the
-/// pending shot inside the scheduler (wheel node or heap payload slot) so
-/// cancel/rearm can erase it in O(1); handle != kNilHandle if and only if
-/// that exact shot is still queued.
+/// pending shot's wheel node so cancel/rearm can erase it in O(1);
+/// handle != kNilHandle if and only if that exact shot is still queued.
 struct TimerCore {
   static constexpr std::uint32_t kNilHandle = 0xFFFFFFFFu;
 
@@ -229,7 +215,6 @@ struct TimerCore {
 class Simulator {
  public:
   struct Options {
-    SchedulerKind scheduler = SchedulerKind::kWheel;
     /// Burst/train execution: back-to-back frames on one link direction
     /// batch into a single scheduler node (see train.h). Bit-identical
     /// to per-frame scheduling — every entry carries the exact (time,
@@ -262,8 +247,6 @@ class Simulator {
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] SchedulerKind scheduler() const { return scheduler_; }
 
   /// Current virtual time. In sharded mode, from inside an event this is
   /// the executing shard's clock; between windows it is the global clock.
@@ -329,7 +312,7 @@ class Simulator {
   /// are written in full. Returns false (with `error`) if the queue holds
   /// unserializable state: a pending barrier task, unmerged mailbox
   /// entries, or an opaque SmallFn event. The walk drains and rebuilds
-  /// each scheduler but leaves the running engine bit-identical.
+  /// each wheel but leaves the running engine bit-identical.
   bool save_engine(SnapshotWriter& w, std::string* error);
 
   /// Drains every shard queue in preparation for a restore: timer shots
@@ -344,19 +327,22 @@ class Simulator {
   /// whose shard count matches the image. Timer shots and train anchors
   /// are re-inserted afterwards by component restores via
   /// restore_timer_at / restore_train_anchor; finish_restore then
-  /// validates the census.
+  /// validates the census. An event earlier than its shard's restored
+  /// clock fails the restore.
   bool restore_engine(SnapshotReader& r, std::string* error);
 
   /// Re-inserts a pending timer shot at its exact saved (time, seq) and
-  /// records the new scheduler handle on `core`. Counted against the
-  /// image's per-shard timer census.
+  /// records the new wheel handle on `core`. Counted against the image's
+  /// per-shard timer census; a shot earlier than the shard's clock is
+  /// refused and fails finish_restore.
   void restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
                         std::shared_ptr<TimerCore> core,
                         std::uint64_t generation);
 
-  /// Re-anchors a restored (non-empty) train in shard `shard`'s scheduler
-  /// at its front entry's (time, seq). Counted against the image's
-  /// per-shard train census.
+  /// Re-anchors a restored (non-empty) train in shard `shard`'s wheel at
+  /// its front entry's (time, seq). Counted against the image's per-shard
+  /// train census; a front entry earlier than the shard's clock is
+  /// refused and fails finish_restore.
   void restore_train_anchor(ShardId shard, Train& tr);
 
   /// Validates the restore against the image's census (timer/train/live
@@ -460,10 +446,10 @@ class Simulator {
   [[nodiscard]] std::uint64_t shard_executed(ShardId shard) const {
     return shards_[shard]->executed;
   }
-  /// Timing-wheel activity aggregated over all shards (zeros under kHeap).
+  /// Timing-wheel activity aggregated over all shards.
   [[nodiscard]] TimingWheel::Stats wheel_stats() const;
 
-  /// Train nodes popped from the schedulers (each covers >= 1 frame).
+  /// Train nodes popped from the wheels (each covers >= 1 frame).
   [[nodiscard]] std::uint64_t trains_popped() const;
   /// Frames delivered through trains (burst path).
   [[nodiscard]] std::uint64_t train_frames() const;
@@ -500,30 +486,10 @@ class Simulator {
  private:
   friend class ShardGuard;
 
-  /// Heap node: everything the comparator needs, nothing it doesn't.
-  /// Payloads stay put in the slot pool while the heap sifts these.
-  struct QNode {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct Later {
-    bool operator()(const QNode& a, const QNode& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  /// priority_queue with access to the backing vector for reserve().
-  struct EventQueue : std::priority_queue<QNode, std::vector<QNode>, Later> {
-    void reserve(std::size_t n) { c.reserve(n); }
-  };
-
   /// One of four is set: a plain callback, a timer shot, a train node
-  /// (the slot anchors the train's scheduler presence; the frames live in
-  /// the train's own deque), or a data event (owner + kind/arg/frame/
-  /// bytes — the serializable closure replacement). A slot with none (a
-  /// cancelled heap shot whose QNode is still sifting) is a husk: purged
-  /// at the next peek, never executed.
+  /// (the slot anchors the train's wheel presence; the frames live in the
+  /// train's own deque), or a data event (owner + kind/arg/frame/bytes —
+  /// the serializable closure replacement).
   struct EventPayload {
     SmallFn fn;
     std::shared_ptr<TimerCore> timer;
@@ -550,10 +516,8 @@ class Simulator {
   };
 
   /// Everything one shard touches while executing a window, padded so
-  /// neighboring shards never share a cache line. Exactly one of
-  /// queue/wheel is in use, per Options::scheduler.
+  /// neighboring shards never share a cache line.
   struct alignas(64) Shard {
-    EventQueue queue;
     TimingWheel wheel;
     std::vector<EventPayload> slots;
     std::vector<std::uint32_t> free_slots;
@@ -607,9 +571,8 @@ class Simulator {
 
   [[nodiscard]] static std::uint32_t acquire_slot(Shard& sh);
   void release_slot(Shard& sh, std::uint32_t slot);
-  /// Pushes payload slot `slot` at (t, next seq) into the shard's active
-  /// scheduler; returns the cancellation handle (wheel node index, or the
-  /// payload slot itself for the heap).
+  /// Pushes payload slot `slot` at (t, next seq) into the shard's wheel;
+  /// returns the cancellation handle (the wheel node index).
   std::uint32_t push_node(Shard& sh, SimTime t, std::uint32_t slot);
   /// Same, but at an explicit already-consumed sequence number (train
   /// nodes re-entering the queue keep their front entry's seq).
@@ -629,9 +592,8 @@ class Simulator {
   /// The shard the calling thread is executing for *this* simulator.
   [[nodiscard]] ShardId context_shard() const;
   static void fire_timer(TimerCore& core, std::uint64_t generation);
-  /// Earliest live event time in this shard, or kNoEvent. Purges any
-  /// cancelled heap husks sitting on top, so both schedulers agree.
-  [[nodiscard]] SimTime peek_time(Shard& sh);
+  /// Earliest live event time in this shard, or kNoEvent.
+  [[nodiscard]] SimTime peek_time(Shard& sh) { return sh.wheel.peek(); }
   /// Dispatches the earliest event. `bound` is the exclusive horizon for
   /// *additional* train deliveries piggybacking on this dispatch (the
   /// window end, or limit + 1 in classic mode); the first delivery of a
@@ -668,11 +630,13 @@ class Simulator {
     std::vector<std::uint64_t> expect_live;
     std::vector<std::uint64_t> nodes_pushed;
     std::vector<TimingWheel::Stats> wheel_stats;
+    /// A timer shot or train anchor earlier than its shard's clock was
+    /// refused (the wheel cannot hold one).
+    bool early_event = false;
   };
 
   // --- Shards. Classic mode is exactly shards_[0]. -----------------------
   std::vector<std::unique_ptr<Shard>> shards_;
-  SchedulerKind scheduler_ = SchedulerKind::kWheel;
   bool configured_ = false;
   bool burst_ = true;
   bool adaptive_lookahead_ = true;

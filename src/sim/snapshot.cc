@@ -1,8 +1,8 @@
 // Engine-level checkpoint: serialize, clear, and rebuild the event queues.
 //
-// The save walk drains each shard's scheduler (wheel or heap) into a
-// record list, classifies every live payload, and re-inserts the drained
-// population exactly as it was — so saving is invisible to the running
+// The save walk drains each shard's timing wheel into a record list,
+// classifies every live payload, and re-inserts the drained population
+// exactly as it was — so saving is invisible to the running
 // engine (wheel stats are captured before the walk and restored after;
 // re-insertion bypasses push_node so nodes_pushed never drifts). The
 // image stores timer shots and train anchors as per-shard census counts
@@ -42,7 +42,7 @@ void save_counters(SnapshotWriter& w, const CounterSet& c) {
 }
 
 void restore_counters(SnapshotReader& r, CounterSet& c) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(2 + 8);  // a name prefix and a value each
   const std::uint64_t fingerprint = r.u64();
   const std::uint32_t names_bytes = r.u32();
   if (!r.ok()) return;
@@ -135,29 +135,14 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     w.u64(ws.cascaded_nodes);
     w.u64(ws.overflow_rehomed);
 
-    // Drain the scheduler in (time, seq) order. Heap husks (cancelled
-    // shots) are released exactly as a peek purge would; the wheel has
-    // no husks (erase is true removal), only dead-staged residue, which
-    // pop() discards with live == false.
+    // Drain the wheel in (time, seq) order. Erase is true removal, so
+    // the only dead residue is a cancelled staged node, which pop()
+    // discards with live == false.
     recs.clear();
-    if (scheduler_ == SchedulerKind::kWheel) {
-      while (sh.wheel.has_events()) {
-        const TimingWheel::PopResult r = sh.wheel.pop();
-        if (!r.live) continue;
-        recs.push_back(Rec{r.time, r.seq, r.payload});
-      }
-    } else {
-      while (!sh.queue.empty()) {
-        const QNode n = sh.queue.top();
-        sh.queue.pop();
-        const EventPayload& p = sh.slots[n.slot];
-        if (!p.fn && p.timer == nullptr && p.train == nullptr &&
-            p.data_owner == nullptr) {
-          release_slot(sh, n.slot);
-          continue;
-        }
-        recs.push_back(Rec{n.time, n.seq, n.slot});
-      }
+    while (sh.wheel.has_events()) {
+      const TimingWheel::PopResult r = sh.wheel.pop();
+      if (!r.live) continue;
+      recs.push_back(Rec{r.time, r.seq, r.payload});
     }
 
     // Classify. Timer shots and train anchors serialize through their
@@ -198,28 +183,21 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
       w.blob(p.data_bytes);
     }
 
-    // Rebuild the scheduler exactly as drained. Direct inserts bypass
+    // Rebuild the wheel exactly as drained. Direct inserts bypass
     // push_node, so nodes_pushed is untouched; wheel stats are restored
     // below, so the whole walk is invisible to metrics. Wheel node
     // indexes change across the rebuild, so live timer handles are
     // re-recorded.
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh.wheel.reset(sh.now);
-      for (const Rec& rec : recs) {
-        const std::uint32_t handle =
-            sh.wheel.insert(rec.time, rec.seq, rec.slot);
-        EventPayload& p = sh.slots[rec.slot];
-        if (p.timer != nullptr && p.timer->generation == p.timer_gen &&
-            p.timer->pending) {
-          p.timer->handle = handle;
-        }
-      }
-      sh.wheel.restore_stats(ws);
-    } else {
-      for (const Rec& rec : recs) {
-        sh.queue.push(QNode{rec.time, rec.seq, rec.slot});
+    sh.wheel.reset(sh.now);
+    for (const Rec& rec : recs) {
+      const std::uint32_t handle = sh.wheel.insert(rec.time, rec.seq, rec.slot);
+      EventPayload& p = sh.slots[rec.slot];
+      if (p.timer != nullptr && p.timer->generation == p.timer_gen &&
+          p.timer->pending) {
+        p.timer->handle = handle;
       }
     }
+    sh.wheel.restore_stats(ws);
   }
   if (bad != nullptr) return fail(bad);
   return true;
@@ -258,26 +236,12 @@ void Simulator::snapshot_clear() {
       p.fn = SmallFn{};
       release_slot(sh, slot_idx);
     };
-    if (scheduler_ == SchedulerKind::kWheel) {
-      while (sh.wheel.has_events()) {
-        const TimingWheel::PopResult r = sh.wheel.pop();
-        if (!r.live) continue;
-        clear_slot(r.payload);
-      }
-      sh.wheel.reset(sh.now);
-    } else {
-      while (!sh.queue.empty()) {
-        const std::uint32_t slot_idx = sh.queue.top().slot;
-        sh.queue.pop();
-        const EventPayload& p = sh.slots[slot_idx];
-        if (!p.fn && p.timer == nullptr && p.train == nullptr &&
-            p.data_owner == nullptr) {
-          release_slot(sh, slot_idx);
-          continue;
-        }
-        clear_slot(slot_idx);
-      }
+    while (sh.wheel.has_events()) {
+      const TimingWheel::PopResult r = sh.wheel.pop();
+      if (!r.live) continue;
+      clear_slot(r.payload);
     }
+    sh.wheel.reset(sh.now);
     sh.live = 0;
   }
 }
@@ -335,17 +299,17 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
     ws.cascaded_nodes = r.u64();
     ws.overflow_rehomed = r.u64();
     restore_pending_.wheel_stats[s] = ws;
-    if (scheduler_ == SchedulerKind::kWheel) {
-      // Re-anchor at the restored clock so every saved event (all > the
-      // saved now) is insertable regardless of where the cleared fresh
-      // engine's cursor had advanced to.
-      sh.wheel.reset(sh.now);
-    }
+    if (!r.ok()) return fail("truncated engine image");
+    // Re-anchor at the restored clock so every saved event (none earlier
+    // than the saved now) is insertable regardless of where the cleared
+    // fresh engine's cursor had advanced to.
+    sh.wheel.reset(sh.now);
     sh.live = 0;
 
     restore_pending_.expect_timers[s] = r.u32();
     restore_pending_.expect_trains[s] = r.u32();
-    const std::uint32_t n_data = r.u32();
+    // Per data event: time, seq, owner, kind, arg, frame flag, blob length.
+    const std::uint32_t n_data = r.count(8 + 8 + 4 + 4 + 8 + 1 + 4);
     for (std::uint32_t i = 0; i < n_data; ++i) {
       const SimTime t = r.i64();
       const std::uint64_t seq = r.u64();
@@ -358,6 +322,7 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
       if (owner_id >= data_owners_.size()) {
         return fail("unknown data-event owner id");
       }
+      if (t < sh.now) return fail("data event earlier than its shard clock");
       const std::uint32_t slot = acquire_slot(sh);
       EventPayload& p = sh.slots[slot];
       p.data_owner = data_owners_[owner_id];
@@ -365,11 +330,7 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
       p.data_arg = arg;
       p.data_frame = std::move(frame);
       p.data_bytes = std::move(bytes);
-      if (scheduler_ == SchedulerKind::kWheel) {
-        sh.wheel.insert(t, seq, slot);
-      } else {
-        sh.queue.push(QNode{t, seq, slot});
-      }
+      sh.wheel.insert(t, seq, slot);
       ++sh.live;
     }
   }
@@ -384,17 +345,15 @@ void Simulator::restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
   // owner's nominal shard id — mirror the schedule-path normalization.
   if (shard >= shards_.size()) shard = 0;
   Shard& sh = *shards_[shard];
+  if (t < sh.now) {
+    restore_pending_.early_event = true;
+    return;
+  }
   TimerCore* raw = core.get();
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].timer = std::move(core);
   sh.slots[slot].timer_gen = generation;
-  std::uint32_t handle;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    handle = sh.wheel.insert(t, seq, slot);
-  } else {
-    sh.queue.push(QNode{t, seq, slot});
-    handle = slot;
-  }
+  const std::uint32_t handle = sh.wheel.insert(t, seq, slot);
   ++sh.live;
   raw->shard = shard;
   raw->handle = handle;
@@ -406,14 +365,14 @@ void Simulator::restore_train_anchor(ShardId shard, Train& tr) {
   if (shard >= shards_.size()) shard = 0;  // classic-mode normalization
   assert(!tr.entries.empty());
   Shard& sh = *shards_[shard];
+  const TrainEntry& front = tr.entries.front();
+  if (front.time < sh.now) {
+    restore_pending_.early_event = true;
+    return;
+  }
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].train = &tr;
-  const TrainEntry& front = tr.entries.front();
-  if (scheduler_ == SchedulerKind::kWheel) {
-    sh.wheel.insert(front.time, front.seq, slot);
-  } else {
-    sh.queue.push(QNode{front.time, front.seq, slot});
-  }
+  sh.wheel.insert(front.time, front.seq, slot);
   tr.scheduled = true;
   // Every pending train entry counts as one live event, exactly like the
   // classic per-frame deliveries it stands for.
@@ -451,11 +410,11 @@ bool Simulator::finish_restore(std::string* error) {
                  std::to_string(restore_pending_.expect_live[s]);
     }
     sh.nodes_pushed = restore_pending_.nodes_pushed[s];
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh.wheel.restore_stats(restore_pending_.wheel_stats[s]);
-    }
+    sh.wheel.restore_stats(restore_pending_.wheel_stats[s]);
   }
+  const bool early = restore_pending_.early_event;
   restore_pending_ = RestorePending{};
+  if (early) return fail("pending event earlier than its shard clock");
   if (!mismatch.empty()) return fail("event census mismatch: " + mismatch);
   return true;
 }
@@ -474,6 +433,8 @@ void Timer::restore_at(SnapshotReader& r, std::function<void()> fn) {
   const ShardId shard = r.u32();
   const SimTime deadline = r.i64();
   const std::uint64_t seq = r.u64();
+  // A pending shot always has a callback to run.
+  if (pending && !had_fn) r.fail();
   if (!r.ok()) return;
   // Safe no-op after snapshot_clear (the core was neutralized), and the
   // correct cleanup when restoring in place over a still-armed timer.

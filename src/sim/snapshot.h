@@ -150,6 +150,23 @@ class SnapshotReader {
     return f;
   }
 
+  /// Reads a u32 element count for a count-prefixed section. Fails the
+  /// reader (and returns 0) when `count × min_bytes_per_item` exceeds the
+  /// bytes left, so a hostile count can never drive a huge allocation or
+  /// a long loop.
+  [[nodiscard]] std::uint32_t count(std::size_t min_bytes_per_item) {
+    const std::uint32_t n = r_.u32();
+    if (static_cast<std::uint64_t>(n) * min_bytes_per_item >
+        r_.remaining_size()) {
+      r_.fail();
+      return 0;
+    }
+    return n;
+  }
+
+  /// Latches the failed state: a restore found a value out of range.
+  void fail() { r_.fail(); }
+
   void skip(std::size_t n) { r_.skip(n); }
 
   /// Consumes `n` bytes, returning them as a view for out-of-line

@@ -11,6 +11,7 @@
 #include "sim/link.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
 
 namespace portland::sim {
 namespace {
@@ -494,29 +495,46 @@ TEST(Sharded, FailRecoverIsWorkerCountInvariant) {
   }
 }
 
-// --- scheduler A/B: binary heap vs hierarchical timing wheel -------------
+// --- timing-wheel scheduler edge cases ----------------------------------
 
-/// Every test in this fixture runs twice, once per event-queue
-/// implementation, and must pass identically under both.
-class EngineTest : public ::testing::TestWithParam<SchedulerKind> {
+/// Where each case's clock starts. The wheel indexes a deadline by the
+/// digits of its absolute time, so the same relative schedule crosses
+/// different cascade boundaries from a different origin.
+enum class Origin : std::uint8_t {
+  kUnaligned,  ///< 1000 ns short of the 2^32 ns level-3 horizon
+  kZero,
+};
+
+/// Every case runs from both origins. The leg IDs
+/// (`BothSchedulers/EngineTest.*/{Heap,Wheel}`) date from when a
+/// binary-heap scheduler ran beside the wheel; they are kept so the test
+/// IDs stay stable. Both legs now run the wheel.
+class EngineTest : public ::testing::TestWithParam<Origin> {
  protected:
-  [[nodiscard]] Simulator::Options opts() const {
-    return Simulator::Options{GetParam()};
+  void SetUp() override {
+    if (GetParam() == Origin::kUnaligned) {
+      t0 = (SimTime{1} << 32) - 1000;
+      sim.run_until(t0);
+      ASSERT_EQ(sim.now(), t0);
+    }
   }
+
+  Simulator sim;
+  SimTime t0 = 0;
 };
 
 INSTANTIATE_TEST_SUITE_P(
     BothSchedulers, EngineTest,
-    ::testing::Values(SchedulerKind::kHeap, SchedulerKind::kWheel),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-      return info.param == SchedulerKind::kHeap ? "Heap" : "Wheel";
+    ::testing::Values(Origin::kUnaligned, Origin::kZero),
+    [](const ::testing::TestParamInfo<Origin>& info) {
+      return info.param == Origin::kUnaligned ? "Heap" : "Wheel";
     });
 
 TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
-  // Times chosen to land on every wheel level: same-page ns (level 0),
-  // ~hundreds of ns (level 1), tens of us (level 2), tens of ms and
-  // seconds (level 3), and past the ~4.29 s horizon (overflow) — plus
-  // duplicates, which must preserve schedule order.
+  // From t0 = 0, times chosen to land on every wheel level: same-page ns
+  // (level 0), ~hundreds of ns (level 1), tens of us (level 2), tens of
+  // ms and seconds (level 3), and past the ~4.29 s horizon (overflow) —
+  // plus duplicates, which must preserve schedule order.
   const SimTime times[] = {nanos(5),   nanos(300),  micros(70), millis(20),
                            seconds(1), seconds(5),  nanos(5),   millis(20),
                            seconds(6), nanos(6),    micros(70), seconds(5)};
@@ -524,10 +542,9 @@ TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
     SimTime time;
     int id;
   };
-  Simulator sim(opts());
   std::vector<Fire> fired;
   for (int i = 0; i < static_cast<int>(std::size(times)); ++i) {
-    sim.at(times[i], [&fired, &sim, i] {
+    sim.at(t0 + times[i], [this, &fired, i] {
       fired.push_back(Fire{sim.now(), i});
     });
   }
@@ -541,26 +558,24 @@ TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
   ASSERT_EQ(fired.size(), ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(fired[i].id, ids[i]) << "position " << i;
-    EXPECT_EQ(fired[i].time, times[static_cast<std::size_t>(ids[i])]);
+    EXPECT_EQ(fired[i].time, t0 + times[static_cast<std::size_t>(ids[i])]);
   }
 }
 
 TEST_P(EngineTest, RunUntilBoundaryIsInclusive) {
-  Simulator sim(opts());
   int at_limit = 0;
   int past_limit = 0;
-  sim.at(millis(5), [&] { ++at_limit; });
-  sim.at(millis(5) + 1, [&] { ++past_limit; });
-  sim.run_until(millis(5));
+  sim.at(t0 + millis(5), [&] { ++at_limit; });
+  sim.at(t0 + millis(5) + 1, [&] { ++past_limit; });
+  sim.run_until(t0 + millis(5));
   EXPECT_EQ(at_limit, 1);
   EXPECT_EQ(past_limit, 0);
-  EXPECT_EQ(sim.now(), millis(5));
+  EXPECT_EQ(sim.now(), t0 + millis(5));
   sim.run();
   EXPECT_EQ(past_limit, 1);
 }
 
 TEST_P(EngineTest, CancelledTimersLeavePendingCount) {
-  Simulator sim(opts());
   Timer a(sim);
   Timer b(sim);
   Timer c(sim);
@@ -574,14 +589,13 @@ TEST_P(EngineTest, CancelledTimersLeavePendingCount) {
   sim.run();
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.executed_events(), 1u);
-  EXPECT_EQ(sim.now(), millis(1));  // dead deadlines never drive the clock
+  EXPECT_EQ(sim.now(), t0 + millis(1));  // dead deadlines never drive the clock
 }
 
 TEST_P(EngineTest, CancelledLongDeadlineTimerReleasesItsCore) {
   // Regression: cancel used to leave the queued shot holding its
   // shared_ptr<TimerCore> (and with it the callback closure) until the
   // dead event's far-future deadline finally popped.
-  Simulator sim(opts());
   auto marker = std::make_shared<int>(7);
   std::weak_ptr<int> weak = marker;
   {
@@ -595,11 +609,10 @@ TEST_P(EngineTest, CancelledLongDeadlineTimerReleasesItsCore) {
   EXPECT_EQ(sim.pending_events(), 0u);
   sim.run();
   EXPECT_EQ(sim.executed_events(), 0u);
-  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.now(), t0);
 }
 
 TEST_P(EngineTest, TwoTimersAtSameInstantFireInArmOrder) {
-  Simulator sim(opts());
   Timer first(sim);
   Timer second(sim);
   std::vector<int> order;
@@ -610,7 +623,6 @@ TEST_P(EngineTest, TwoTimersAtSameInstantFireInArmOrder) {
 }
 
 TEST_P(EngineTest, CancelFromOwnCallback) {
-  Simulator sim(opts());
   Timer t(sim);
   int fired = 0;
   t.schedule_after(millis(1), [&] {
@@ -628,7 +640,6 @@ TEST_P(EngineTest, CancelFromOwnCallback) {
 TEST_P(EngineTest, CancelSiblingTimerAtSameInstant) {
   // First timer's callback cancels the second, which is already staged
   // for dispatch at the same instant — it must not fire.
-  Simulator sim(opts());
   Timer killer(sim);
   Timer victim(sim);
   int victim_fired = 0;
@@ -642,7 +653,6 @@ TEST_P(EngineTest, CancelSiblingTimerAtSameInstant) {
 TEST_P(EngineTest, RearmAfterCallbackReplacedItself) {
   // The callback replaces itself via schedule_after() from inside
   // fire_timer; a later rearm() must re-run the *replacement*.
-  Simulator sim(opts());
   Timer t(sim);
   std::vector<int> hits;
   t.schedule_after(millis(1), [&] {
@@ -658,24 +668,22 @@ TEST_P(EngineTest, RearmAfterCallbackReplacedItself) {
 }
 
 TEST_P(EngineTest, DeadlineTracksRearm) {
-  Simulator sim(opts());
   Timer t(sim);
   t.schedule_after(millis(10), [] {});
-  EXPECT_EQ(t.deadline(), millis(10));
+  EXPECT_EQ(t.deadline(), t0 + millis(10));
   t.rearm(millis(4));
-  EXPECT_EQ(t.deadline(), millis(4));
-  sim.run_until(millis(1));
+  EXPECT_EQ(t.deadline(), t0 + millis(4));
+  sim.run_until(t0 + millis(1));
   t.rearm(seconds(30));  // push past the wheel's cascade horizon
-  EXPECT_EQ(t.deadline(), millis(1) + seconds(30));
+  EXPECT_EQ(t.deadline(), t0 + millis(1) + seconds(30));
   t.rearm(millis(2));
-  EXPECT_EQ(t.deadline(), millis(3));
+  EXPECT_EQ(t.deadline(), t0 + millis(3));
   sim.run();
-  EXPECT_EQ(sim.now(), millis(3));
+  EXPECT_EQ(sim.now(), t0 + millis(3));
   EXPECT_EQ(sim.executed_events(), 1u);  // every earlier shot was erased
 }
 
 TEST_P(EngineTest, FarFutureCancelThenNearReschedule) {
-  Simulator sim(opts());
   Timer t(sim);
   int fired = 0;
   t.schedule_after(seconds(20), [&] { ++fired; });  // overflow on the wheel
@@ -683,14 +691,22 @@ TEST_P(EngineTest, FarFutureCancelThenNearReschedule) {
   t.schedule_after(micros(5), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), micros(5));
+  EXPECT_EQ(sim.now(), t0 + micros(5));
 }
 
+struct RandomTrace {
+  /// (time, id) of every callback, in dispatch order.
+  std::vector<std::pair<SimTime, int>> dispatched;
+  std::uint64_t executed = 0;
+  SimTime final_now = 0;
+};
+
 /// Drives one simulator through a pseudorandom schedule/cancel/rearm
-/// storm and returns the (time, id) dispatch trace.
-std::vector<std::pair<SimTime, int>> run_random_trace(SchedulerKind kind) {
-  Simulator sim(Simulator::Options{kind});
-  std::vector<std::pair<SimTime, int>> trace;
+/// storm and returns its dispatch trace.
+RandomTrace run_random_trace() {
+  Simulator sim;
+  RandomTrace result;
+  auto& trace = result.dispatched;
   Rng rng(0xC0FFEE);
   std::vector<std::unique_ptr<Timer>> timers;
   for (int i = 0; i < 16; ++i) timers.push_back(std::make_unique<Timer>(sim));
@@ -702,6 +718,13 @@ std::vector<std::pair<SimTime, int>> run_random_trace(SchedulerKind kind) {
           sim.now() + static_cast<SimTime>(rng.next_below(seconds(6)));
       const int id = next_id++;
       sim.at(t, [&trace, &sim, id] { trace.emplace_back(sim.now(), id); });
+    }
+    // A same-instant cluster: its dispatch order is pure seq order.
+    const SimTime tie =
+        sim.now() + static_cast<SimTime>(rng.next_below(seconds(2)));
+    for (int i = 0; i < 8; ++i) {
+      const int id = next_id++;
+      sim.at(tie, [&trace, &sim, id] { trace.emplace_back(sim.now(), id); });
     }
     // Timer churn: schedule, rearm, or cancel at random.
     for (auto& timer : timers) {
@@ -720,14 +743,36 @@ std::vector<std::pair<SimTime, int>> run_random_trace(SchedulerKind kind) {
     sim.run_until(sim.now() + static_cast<SimTime>(rng.next_below(seconds(1))));
   }
   sim.run();
-  return trace;
+  result.executed = sim.executed_events();
+  result.final_now = sim.now();
+  return result;
 }
 
-TEST(Scheduler, HeapAndWheelDispatchIdenticalTraces) {
-  const auto heap = run_random_trace(SchedulerKind::kHeap);
-  const auto wheel = run_random_trace(SchedulerKind::kWheel);
-  ASSERT_GT(heap.size(), 2000u);
-  EXPECT_EQ(heap, wheel);
+/// FNV-1a (sim::content_hash) over the dispatch trace in order, then the
+/// executed-event count and the final clock.
+std::uint64_t digest(const RandomTrace& r) {
+  std::vector<std::uint8_t> buf;
+  SnapshotWriter w(buf);
+  for (const auto& [t, id] : r.dispatched) {
+    w.i64(t);
+    w.u32(static_cast<std::uint32_t>(id));
+  }
+  w.u64(r.executed);
+  w.i64(r.final_now);
+  return content_hash(buf);
+}
+
+// Recorded when the binary-heap scheduler still existed beside the wheel;
+// both produced exactly this digest. Any change to (time, seq) dispatch
+// order, run_until boundaries or cancel/rearm semantics moves it.
+constexpr std::uint64_t kRandomTraceDigest = 0xded88760fd717639ull;
+
+TEST(Scheduler, RandomTraceMatchesGoldenDigest) {
+  const RandomTrace r = run_random_trace();
+  ASSERT_EQ(r.dispatched.size(), 2966u);
+  EXPECT_EQ(r.executed, 2966u);
+  EXPECT_EQ(r.final_now, 25'914'100'924);
+  EXPECT_EQ(digest(r), kRandomTraceDigest);
 }
 
 TEST(Sharded, AdaptiveLookaheadWidensSparseWindows) {

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/random.h"
 #include "core/fabric.h"
 #include "host/apps.h"
 #include "sim/snapshot.h"
@@ -386,6 +387,44 @@ TEST(Snapshot, RestoreRefusesOlderImageVersion) {
   EXPECT_EQ(error, "snapshot: version mismatch");
   // Only the version differed: the untouched image restores.
   EXPECT_TRUE(target.restore_snapshot(image, &error)) << error;
+}
+
+// Hostile images: flipping one bit, or writing 0xFFFFFFFF over one word,
+// anywhere in a warm k=4 image must never crash, exhaust memory or hang
+// the restoring process. Every restore either succeeds or refuses with an
+// error, and the target fabric still takes the pristine image afterwards.
+TEST(Snapshot, MutatedImagesNeverCrash) {
+  auto src = make_scenario(small_options());
+  std::vector<std::uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(src->fabric->save_snapshot(image, src->extras(), &error))
+      << error;
+  ASSERT_GT(image.size(), 1000u);
+
+  auto dst = make_scenario(small_options(), /*warm=*/false);
+  const auto extras = dst->extras();
+  Rng rng(0x5EED);
+  int refused = 0;
+  constexpr int kMutations = 2400;
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<std::uint8_t> bad = image;
+    const std::size_t at = rng.next_below(image.size() - 3);
+    if (rng.next_below(2) == 0) {
+      bad[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    } else {
+      std::fill_n(bad.begin() + static_cast<std::ptrdiff_t>(at), 4, 0xFF);
+    }
+    error.clear();
+    if (!dst->fabric->restore_snapshot(bad, extras, &error)) {
+      ++refused;
+      EXPECT_FALSE(error.empty()) << "mutation " << i << " at byte " << at;
+    }
+  }
+  // Mutated payload bytes (frame contents, counter values, addresses)
+  // restore as different but well-formed state; mutated structure
+  // (counts, port and slot ids, clocks, event times) must be refused.
+  EXPECT_GT(refused, kMutations / 20);
+  EXPECT_TRUE(dst->fabric->restore_snapshot(image, extras, &error)) << error;
 }
 
 // ---------------------------------------------------------------------------

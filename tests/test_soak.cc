@@ -14,6 +14,7 @@
 #include "core/migration.h"
 #include "core/path_audit.h"
 #include "host/apps.h"
+#include "sim/snapshot.h"
 
 namespace portland::core {
 namespace {
@@ -189,27 +190,30 @@ struct ParallelRunResult {
   std::uint64_t mon_overflow = 0;
 };
 
-ParallelRunResult run_parallel_soak(
-    unsigned workers, sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel,
-    bool obs_on = false, bool burst = true, bool legacy_tables = false,
-    bool monitor_on = false, std::size_t fm_shards = 1,
-    bool fm_replica = false) {
+/// Engine and observability knobs for one chaos-soak run.
+struct SoakOptions {
+  unsigned workers = 1;  // >= 1 selects the sharded engine
+  bool obs_on = false;   // flight recorder + engine tracer
+  bool burst = true;
+  bool monitor_on = false;  // convergence monitor + invariant checks
+  std::size_t fm_shards = 1;
+  bool fm_replica = false;
+};
+
+ParallelRunResult run_parallel_soak(const SoakOptions& soak) {
   topo::FatTree tree(4);
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 20260806;
-  options.workers = workers;  // >= 1 selects the sharded engine
-  options.scheduler = scheduler;
+  options.workers = soak.workers;
   options.skip_host_indices = {tree.host_index(3, 1, 1)};  // migration slot
-  options.obs.flight_recorder = obs_on;
-  options.obs.engine_trace = obs_on;
-  options.obs.convergence_monitor = monitor_on;
-  options.obs.check_invariants = monitor_on;
-  options.burst = burst;
-  options.config.tables = legacy_tables ? PortlandConfig::Tables::kLegacyMap
-                                        : PortlandConfig::Tables::kCompact;
-  options.config.fm_shards = fm_shards;
-  options.config.fm_replica = fm_replica;
+  options.obs.flight_recorder = soak.obs_on;
+  options.obs.engine_trace = soak.obs_on;
+  options.obs.convergence_monitor = soak.monitor_on;
+  options.obs.check_invariants = soak.monitor_on;
+  options.burst = soak.burst;
+  options.config.fm_shards = soak.fm_shards;
+  options.config.fm_replica = soak.fm_replica;
   PortlandFabric fabric(options);
 
   ParallelRunResult result;
@@ -339,9 +343,50 @@ ParallelRunResult run_parallel_soak(
   return result;
 }
 
+/// Every sim-visible quantity of two chaos-soak runs must match bit for
+/// bit: event totals, per-flow delivery, drops, and the full frame trace.
+void expect_same_sim(const ParallelRunResult& a, const ParallelRunResult& b,
+                     const char* label) {
+  EXPECT_EQ(a.executed, b.executed) << label;
+  EXPECT_EQ(a.final_now, b.final_now) << label;
+  EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
+  EXPECT_EQ(a.probe_received, b.probe_received) << label;
+  EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
+  EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
+  EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
+  EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
+  EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
+  ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
+  EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
+}
+
+/// FNV-1a (sim::content_hash) over the canonically sorted frame trace,
+/// then the executed-event count and the final clock.
+template <typename Result>
+std::uint64_t golden_digest(const Result& r) {
+  std::vector<std::uint8_t> buf;
+  sim::SnapshotWriter w(buf);
+  for (const auto& [time, device, size] : r.trace) {
+    w.i64(time);
+    w.str(device);
+    w.u64(size);
+  }
+  w.u64(r.executed);
+  w.i64(r.final_now);
+  return sim::content_hash(buf);
+}
+
+// Golden digests, recorded while the binary-heap scheduler and the
+// std::map table build still existed: heap and wheel, legacy and compact
+// tables, at 1 and at 4 workers, all produced exactly these values (the
+// snapshot soak also with and without a mid-run save/restore). They now
+// pin determinism in place of those twins.
+constexpr std::uint64_t kChaosSoakDigest = 0x9a1f38d5dbace708ull;
+constexpr std::uint64_t kSnapshotSoakDigest = 0x5c17e12654aada7full;
+
 TEST(Soak, ParallelEngineIsWorkerCountInvariant) {
-  const ParallelRunResult serial = run_parallel_soak(1);
-  const ParallelRunResult parallel = run_parallel_soak(4);
+  const ParallelRunResult serial = run_parallel_soak({.workers = 1});
+  const ParallelRunResult parallel = run_parallel_soak({.workers = 4});
 
   // The scenario actually did something.
   EXPECT_EQ(serial.tcp_delivered, 2'000'000u);
@@ -353,56 +398,19 @@ TEST(Soak, ParallelEngineIsWorkerCountInvariant) {
   EXPECT_GT(serial.trace.size(), 10'000u);
 
   // Bit-identical replay across worker counts.
-  EXPECT_EQ(serial.executed, parallel.executed);
-  EXPECT_EQ(serial.final_now, parallel.final_now);
-  EXPECT_EQ(serial.probe_sent, parallel.probe_sent);
-  EXPECT_EQ(serial.probe_received, parallel.probe_received);
-  EXPECT_EQ(serial.tcp_delivered, parallel.tcp_delivered);
-  EXPECT_EQ(serial.tcp_corrupt, parallel.tcp_corrupt);
-  EXPECT_EQ(serial.mcast_rx, parallel.mcast_rx);
-  EXPECT_EQ(serial.link_tx_frames, parallel.link_tx_frames);
-  EXPECT_EQ(serial.link_dropped, parallel.link_dropped);
-  ASSERT_EQ(serial.trace.size(), parallel.trace.size());
-  EXPECT_TRUE(serial.trace == parallel.trace)
-      << "frame delivery traces diverged";
+  expect_same_sim(serial, parallel, "1 vs 4 workers");
 }
 
-// With identical seeds, the binary-heap and timing-wheel schedulers must
-// execute the same simulation — same executed-event counts and the same
-// full frame-delivery trace — at 1 and at 4 workers. This pins the
-// wheel's (time, seq) dispatch order and its run_until/window boundary
-// behavior to the heap reference implementation under full chaos:
-// failures, repairs, migration, TCP, multicast.
-TEST(Soak, SchedulerChoiceIsInvisibleToExecution) {
-  const ParallelRunResult heap1 =
-      run_parallel_soak(1, sim::SchedulerKind::kHeap);
-  const ParallelRunResult wheel1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel);
-  const ParallelRunResult heap4 =
-      run_parallel_soak(4, sim::SchedulerKind::kHeap);
-  const ParallelRunResult wheel4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel);
-
-  EXPECT_GT(heap1.trace.size(), 10'000u);  // the scenario really ran
-
-  const auto expect_same = [](const ParallelRunResult& a,
-                              const ParallelRunResult& b,
-                              const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same(heap1, wheel1, "heap vs wheel, 1 worker");
-  expect_same(heap4, wheel4, "heap vs wheel, 4 workers");
-  expect_same(heap1, heap4, "heap, 1 vs 4 workers");
-  expect_same(wheel1, wheel4, "wheel, 1 vs 4 workers");
+// The chaos soak's frame trace, event count and final clock hash to the
+// recorded golden digest at 1 and at 4 workers.
+TEST(Soak, ChaosSoakMatchesGoldenDigest) {
+  for (const unsigned workers : {1u, 4u}) {
+    const ParallelRunResult r = run_parallel_soak({.workers = workers});
+    EXPECT_EQ(r.trace.size(), 45'685u) << workers << " workers";
+    EXPECT_EQ(r.executed, 55'139u) << workers << " workers";
+    EXPECT_EQ(r.final_now, 1'590'000'000) << workers << " workers";
+    EXPECT_EQ(golden_digest(r), kChaosSoakDigest) << workers << " workers";
+  }
 }
 
 // The flight recorder + engine tracer are passive: attaching them must
@@ -412,27 +420,12 @@ TEST(Soak, SchedulerChoiceIsInvisibleToExecution) {
 // across all three runs, and the recorder itself must observe the same
 // frames regardless of worker count.
 TEST(Soak, FlightRecorderIsInvisibleToExecution) {
-  const ParallelRunResult off1 = run_parallel_soak(1);
+  const ParallelRunResult off1 = run_parallel_soak({.workers = 1});
   const ParallelRunResult on1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/true);
+      run_parallel_soak({.workers = 1, .obs_on = true});
   const ParallelRunResult on4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/true);
+      run_parallel_soak({.workers = 4, .obs_on = true});
 
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
   expect_same_sim(off1, on1, "tracing off vs on, 1 worker");
   expect_same_sim(on1, on4, "tracing on, 1 vs 4 workers");
 
@@ -452,49 +445,19 @@ TEST(Soak, FlightRecorderIsInvisibleToExecution) {
 // The convergence monitor (timeline engine + streaming loop-freedom
 // checks) is passive like the recorder it rides on: attaching it must
 // not move a single event. The same chaos scenario — failures, repairs,
-// migration, TCP, multicast — runs with the monitor off and on, across
-// 1/4 workers and both scheduler backends, and every sim-visible
-// quantity must match the plain run bit for bit. The monitor's own
-// observations (events captured, timelines opened, loop violations)
-// must be worker-count and scheduler invariant too.
+// migration, TCP, multicast — runs with the monitor off and on, at 1 and
+// 4 workers, and every sim-visible quantity must match the plain run bit
+// for bit. The monitor's own observations (events captured, timelines
+// opened, loop violations) must be worker-count invariant too.
 TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
-  const ParallelRunResult plain1 = run_parallel_soak(1);
-  const ParallelRunResult on1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on1_heap =
-      run_parallel_soak(1, sim::SchedulerKind::kHeap, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on4_heap =
-      run_parallel_soak(4, sim::SchedulerKind::kHeap, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
+  const ParallelRunResult plain1 = run_parallel_soak({.workers = 1});
+  const ParallelRunResult on1 = run_parallel_soak(
+      {.workers = 1, .obs_on = true, .monitor_on = true});
+  const ParallelRunResult on4 = run_parallel_soak(
+      {.workers = 4, .obs_on = true, .monitor_on = true});
 
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
   expect_same_sim(plain1, on1, "monitor off vs on, 1 worker");
   expect_same_sim(on1, on4, "monitor on, 1 vs 4 workers");
-  expect_same_sim(on1, on1_heap, "monitor on, wheel vs heap");
-  expect_same_sim(on1, on4_heap, "monitor on, wheel vs heap, 4 workers");
 
   // The monitor saw the chaos: 2 link failures + the migration's
   // disconnect all open timelines...
@@ -503,12 +466,9 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   EXPECT_EQ(on1.mon_overflow, 0u);
   // ...the fabric stayed loop-free throughout...
   EXPECT_EQ(on1.mon_loops, 0u);
-  // ...and what it observed is engine-configuration invariant.
+  // ...and what it observed is worker-count invariant.
   EXPECT_EQ(on1.mon_events, on4.mon_events);
-  EXPECT_EQ(on1.mon_events, on1_heap.mon_events);
-  EXPECT_EQ(on1.mon_events, on4_heap.mon_events);
   EXPECT_EQ(on1.mon_timelines, on4.mon_timelines);
-  EXPECT_EQ(on1.mon_timelines, on4_heap.mon_timelines);
   EXPECT_EQ(on1.mon_loops, on4.mon_loops);
   // The monitor-off runs observed nothing.
   EXPECT_EQ(plain1.mon_events, 0u);
@@ -517,80 +477,24 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
 
 // Burst/train execution is a pure scheduler-side batching optimization:
 // turning it off must not move a single event. The same chaos scenario
-// runs with trains disabled — across worker counts and on both scheduler
-// backends — and every sim-visible quantity must match the burst-on
-// reference bit for bit. This is the equality proof behind the E18 bench
-// ("every configuration simulates the same network").
+// runs with trains disabled at 1 and 4 workers, and every sim-visible
+// quantity must match the burst-on reference bit for bit. This is the
+// equality proof behind the E18 bench ("every configuration simulates
+// the same network").
 TEST(Soak, BurstModeIsInvisibleToExecution) {
-  const ParallelRunResult on1 = run_parallel_soak(1);  // burst on (default)
-  const ParallelRunResult off1 = run_parallel_soak(
-      1, sim::SchedulerKind::kWheel, /*obs_on=*/false, /*burst=*/false);
-  const ParallelRunResult off4 = run_parallel_soak(
-      4, sim::SchedulerKind::kWheel, /*obs_on=*/false, /*burst=*/false);
-  const ParallelRunResult off_heap = run_parallel_soak(
-      1, sim::SchedulerKind::kHeap, /*obs_on=*/false, /*burst=*/false);
+  const ParallelRunResult on1 = run_parallel_soak({.workers = 1});
+  const ParallelRunResult off1 =
+      run_parallel_soak({.workers = 1, .burst = false});
+  const ParallelRunResult off4 =
+      run_parallel_soak({.workers = 4, .burst = false});
 
   // The reference run really used trains; the off runs never did.
   EXPECT_GT(on1.train_frames, 0u);
   EXPECT_EQ(off1.train_frames, 0u);
   EXPECT_EQ(off4.train_frames, 0u);
-  EXPECT_EQ(off_heap.train_frames, 0u);
 
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same_sim(on1, off1, "burst on vs off, wheel, 1 worker");
-  expect_same_sim(on1, off4, "burst on vs off, wheel, 4 workers");
-  expect_same_sim(on1, off_heap, "burst on vs off, heap, 1 worker");
-}
-
-// The compact prefix tables (flat host table, sorted pruned-up routes)
-// are a pure representation change: the same
-// chaos scenario — link failures and repairs, a VM migration, TCP,
-// multicast — on the legacy std::map build must execute the identical
-// simulation. This is the equality proof behind E19: the memory savings
-// cost nothing behaviorally, down to every (time, receiver, size) frame
-// delivery, at 1 and at 4 workers.
-TEST(Soak, CompactTablesAreInvisibleToExecution) {
-  const ParallelRunResult compact1 = run_parallel_soak(1);
-  const ParallelRunResult legacy1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/true);
-  const ParallelRunResult legacy4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/true);
-
-  EXPECT_GT(compact1.trace.size(), 10'000u);  // the scenario really ran
-
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same_sim(compact1, legacy1, "compact vs legacy tables, 1 worker");
-  expect_same_sim(compact1, legacy4, "compact vs legacy tables, 4 workers");
+  expect_same_sim(on1, off1, "burst on vs off, 1 worker");
+  expect_same_sim(on1, off4, "burst on vs off, 4 workers");
 }
 
 // Sharding the fabric manager's ARP/registry service is a pure control-
@@ -602,33 +506,14 @@ TEST(Soak, CompactTablesAreInvisibleToExecution) {
 // (time, receiver, size) frame delivery and the executed-event count, at
 // 1 and at 4 workers. This is the equality proof behind the E22 bench.
 TEST(Soak, ShardedFmIsInvisibleToExecution) {
-  const ParallelRunResult single1 = run_parallel_soak(1);
+  const ParallelRunResult single1 = run_parallel_soak({.workers = 1});
   const ParallelRunResult sharded1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/false, /*fm_shards=*/4);
+      run_parallel_soak({.workers = 1, .fm_shards = 4});
   const ParallelRunResult sharded4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/false, /*fm_shards=*/4);
+      run_parallel_soak({.workers = 4, .fm_shards = 4});
 
   EXPECT_GT(single1.trace.size(), 10'000u);  // the scenario really ran
 
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
   expect_same_sim(single1, sharded1, "single vs sharded FM, 1 worker");
   expect_same_sim(sharded1, sharded4, "sharded FM, 1 vs 4 workers");
 }
@@ -639,35 +524,17 @@ TEST(Soak, ShardedFmIsInvisibleToExecution) {
 // data plane it carries along must behave exactly like the plain run.
 TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
   const ParallelRunResult replica1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/false, /*fm_shards=*/4,
-                        /*fm_replica=*/true);
+      run_parallel_soak({.workers = 1, .fm_shards = 4, .fm_replica = true});
   const ParallelRunResult replica4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/false, /*fm_shards=*/4,
-                        /*fm_replica=*/true);
+      run_parallel_soak({.workers = 4, .fm_shards = 4, .fm_replica = true});
 
   EXPECT_GT(replica1.trace.size(), 10'000u);
-
-  EXPECT_EQ(replica1.executed, replica4.executed);
-  EXPECT_EQ(replica1.final_now, replica4.final_now);
-  EXPECT_EQ(replica1.probe_sent, replica4.probe_sent);
-  EXPECT_EQ(replica1.probe_received, replica4.probe_received);
-  EXPECT_EQ(replica1.tcp_delivered, replica4.tcp_delivered);
-  EXPECT_EQ(replica1.tcp_corrupt, replica4.tcp_corrupt);
-  EXPECT_EQ(replica1.mcast_rx, replica4.mcast_rx);
-  EXPECT_EQ(replica1.link_tx_frames, replica4.link_tx_frames);
-  EXPECT_EQ(replica1.link_dropped, replica4.link_dropped);
-  ASSERT_EQ(replica1.trace.size(), replica4.trace.size());
-  EXPECT_TRUE(replica1.trace == replica4.trace)
-      << "replica frame traces diverged";
+  expect_same_sim(replica1, replica4, "replica stream, 1 vs 4 workers");
 
   // The standby's stream is invisible to the data plane: same frame
   // trace as the plain run (FmDelta messages ride the out-of-band
   // control plane, never a link).
-  const ParallelRunResult plain1 = run_parallel_soak(1);
+  const ParallelRunResult plain1 = run_parallel_soak({.workers = 1});
   EXPECT_EQ(plain1.probe_sent, replica1.probe_sent);
   EXPECT_EQ(plain1.probe_received, replica1.probe_received);
   EXPECT_EQ(plain1.tcp_delivered, replica1.tcp_delivered);
@@ -680,8 +547,7 @@ TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
 // Checkpoint/fork serving: saving a mid-chaos fabric and restoring it in
 // place must be invisible to execution — the post-save frame trace, event
 // counts, and per-flow delivery must be bit-identical to the uninterrupted
-// run, for every engine configuration (worker count × scheduler × burst
-// mode). This is the headline snapshot invariant under full load: probe
+// run, for every engine configuration (worker count × burst mode). This is the headline snapshot invariant under full load: probe
 // flows ticking, a TCP transfer mid-flight, multicast streaming, with a
 // link failure + repair in the replayed window.
 // ---------------------------------------------------------------------------
@@ -712,14 +578,12 @@ struct SnapshotSoakResult {
   std::size_t image_bytes = 0;
 };
 
-SnapshotSoakResult run_snapshot_soak(unsigned workers,
-                                     sim::SchedulerKind scheduler, bool burst,
+SnapshotSoakResult run_snapshot_soak(unsigned workers, bool burst,
                                      bool snapshot) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 20260808;
   options.workers = workers;
-  options.scheduler = scheduler;
   options.burst = burst;
   PortlandFabric fabric(options);
 
@@ -846,9 +710,18 @@ SnapshotSoakResult run_snapshot_soak(unsigned workers,
   return result;
 }
 
+// The uninterrupted snapshot-soak reference run hashes to its recorded
+// golden digest.
+TEST(Soak, SnapshotSoakMatchesGoldenDigest) {
+  const SnapshotSoakResult reference = run_snapshot_soak(1, true, false);
+  EXPECT_EQ(reference.trace.size(), 11'647u);
+  EXPECT_EQ(reference.executed, 28'579u);
+  EXPECT_EQ(reference.final_now, 845'000'000);
+  EXPECT_EQ(golden_digest(reference), kSnapshotSoakDigest);
+}
+
 TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
-  const SnapshotSoakResult reference =
-      run_snapshot_soak(1, sim::SchedulerKind::kWheel, true, false);
+  const SnapshotSoakResult reference = run_snapshot_soak(1, true, false);
   EXPECT_GT(reference.trace.size(), 5'000u);  // the scenario really ran
   EXPECT_EQ(reference.tcp_delivered, 1'000'000u);
   EXPECT_FALSE(reference.tcp_corrupt);
@@ -868,19 +741,13 @@ TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
   };
 
   for (const unsigned workers : {1u, 4u}) {
-    for (const sim::SchedulerKind sched :
-         {sim::SchedulerKind::kHeap, sim::SchedulerKind::kWheel}) {
-      for (const bool burst : {true, false}) {
-        const SnapshotSoakResult snap =
-            run_snapshot_soak(workers, sched, burst, true);
-        EXPECT_GT(snap.image_bytes, 0u);
-        const std::string label =
-            std::string("snapshot round trip, workers=") +
-            std::to_string(workers) +
-            (sched == sim::SchedulerKind::kHeap ? ", heap" : ", wheel") +
-            (burst ? ", burst on" : ", burst off");
-        expect_same(snap, label.c_str());
-      }
+    for (const bool burst : {true, false}) {
+      const SnapshotSoakResult snap = run_snapshot_soak(workers, burst, true);
+      EXPECT_GT(snap.image_bytes, 0u);
+      const std::string label = std::string("snapshot round trip, workers=") +
+                                std::to_string(workers) +
+                                (burst ? ", burst on" : ", burst off");
+      expect_same(snap, label.c_str());
     }
   }
 }

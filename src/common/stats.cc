@@ -28,11 +28,7 @@ double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 void Accumulator::reset() { *this = Accumulator(); }
 
-void CounterSet::add(const std::string& name, std::uint64_t delta) {
-  cell(name) += delta;
-}
-
-std::uint64_t CounterSet::get(const std::string& name) const {
+std::uint64_t CounterSet::get(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }

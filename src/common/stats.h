@@ -3,7 +3,9 @@
 // `Accumulator` keeps count/mean/variance (Welford) plus min/max without
 // storing samples. `CounterSet` is a string-keyed map of monotonically
 // increasing counters used by devices to expose packet/byte/drop counts to
-// tests and benches.
+// tests and benches. Lookups are heterogeneous (`std::less<>`), so a
+// literal or `std::string_view` name never builds a `std::string`; only
+// the first insertion of a key allocates.
 #pragma once
 
 #include <cstdint>
@@ -39,23 +41,36 @@ class Accumulator {
 
 class CounterSet {
  public:
+  using Map = std::map<std::string, std::uint64_t, std::less<>>;
+
   /// Adds `delta` to counter `name`, creating it at zero if absent.
-  void add(const std::string& name, std::uint64_t delta = 1);
+  void add(std::string_view name, std::uint64_t delta = 1) {
+    cell(name) += delta;
+  }
 
   /// Stable pointer to the counter cell for `name`, creating it at zero.
   /// Callers on per-frame paths cache the handle once and bump it
   /// directly, skipping the string-keyed lookup. Handles stay valid for
   /// the CounterSet's lifetime (the map is node-based and reset() zeroes
   /// values instead of erasing them).
-  [[nodiscard]] std::uint64_t* handle(const std::string& name) {
+  [[nodiscard]] std::uint64_t* handle(std::string_view name) {
     return &cell(name);
   }
 
+  /// add() through a caller-owned cache: the first call resolves (and
+  /// lazily creates) the cell and stores it in `cell`, later calls bump
+  /// it directly. The key appears exactly when add() would create it.
+  void add_cached(std::uint64_t*& cell, std::string_view name,
+                  std::uint64_t delta = 1) {
+    if (cell == nullptr) cell = handle(name);
+    *cell += delta;
+  }
+
   /// Current value; zero if the counter has never been touched.
-  [[nodiscard]] std::uint64_t get(const std::string& name) const;
+  [[nodiscard]] std::uint64_t get(std::string_view name) const;
 
   /// All counters, sorted by name (map iteration order).
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
+  [[nodiscard]] const Map& all() const {
     return counters_;
   }
 
@@ -109,7 +124,7 @@ class CounterSet {
 
    private:
     CounterSet* c_;
-    std::map<std::string, std::uint64_t>::iterator it_;
+    Map::iterator it_;
   };
 
  private:
@@ -128,7 +143,7 @@ class CounterSet {
 
   /// Find-or-insert keeping the key fingerprint in sync — every key
   /// insertion funnels through here (or RestoreCursor::set).
-  [[nodiscard]] std::uint64_t& cell(const std::string& name) {
+  [[nodiscard]] std::uint64_t& cell(std::string_view name) {
     const auto it = counters_.lower_bound(name);
     if (it != counters_.end() && it->first == name) return it->second;
     key_fingerprint_ += name_hash(name);
@@ -136,7 +151,7 @@ class CounterSet {
     return counters_.emplace_hint(it, name, 0)->second;
   }
 
-  std::map<std::string, std::uint64_t> counters_;
+  Map counters_;
   std::uint64_t key_fingerprint_ = 0;
   std::vector<std::uint64_t*> flat_;  // see cells_in_order()
   bool flat_valid_ = false;

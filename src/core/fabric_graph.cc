@@ -45,6 +45,9 @@ HelloDelta FabricGraph::apply_hello(SwitchId id, const SwitchHello& hello) {
   const auto [mit, created] = switches_.try_emplace(id);
   SwitchState& st = mit->second;
   if (created) note_switch_dirty(id);
+  // Periodic refreshes almost always repeat the last report verbatim:
+  // answer those without copying or rebuilding anything.
+  if (!created && same_report(id, st, hello)) return HelloDelta{};
   const SwitchLocator old_locator = st.locator;
   const std::map<std::uint16_t, SwitchId> old_ports = st.port_to_neighbor;
 
@@ -96,6 +99,26 @@ HelloDelta FabricGraph::apply_hello(SwitchId id, const SwitchHello& hello) {
     delta.routing_changed = old_effective != new_effective;
   }
   return delta;
+}
+
+bool FabricGraph::same_report(SwitchId id, const SwitchState& st,
+                              const SwitchHello& hello) const {
+  if (st.locator != hello.self ||
+      st.port_to_neighbor.size() != hello.neighbors.size()) {
+    return false;
+  }
+  // Same port -> neighbor pairs in port order (a map iterates sorted, so
+  // an out-of-order or duplicate-port report never matches), and every
+  // link already known to the fault matrix.
+  auto it = st.port_to_neighbor.begin();
+  for (const NeighborEntry& n : hello.neighbors) {
+    if (it->first != n.port || it->second != n.neighbor.switch_id ||
+        link_alive_.count(link_key(id, n.neighbor.switch_id)) == 0) {
+      return false;
+    }
+    ++it;
+  }
+  return true;
 }
 
 bool FabricGraph::set_link_state(SwitchId a, SwitchId b, bool up) {

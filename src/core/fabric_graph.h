@@ -111,6 +111,12 @@ class FabricGraph {
     std::set<SwitchId> neighbor_set;
   };
 
+  /// True when `hello` repeats `st` exactly: same locator, same port ->
+  /// neighbor pairs in port order, and every reported link already in the
+  /// fault matrix. Such a hello changes nothing (apply_hello's fast path).
+  [[nodiscard]] bool same_report(SwitchId id, const SwitchState& st,
+                                 const SwitchHello& hello) const;
+
   [[nodiscard]] static std::pair<SwitchId, SwitchId> link_key(SwitchId a,
                                                               SwitchId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);

@@ -73,7 +73,8 @@ void FabricManager::handle_message(const ControlMessage& msg) {
 
 void FabricManager::handle_shard_message(std::size_t shard,
                                          const ControlMessage& msg) {
-  shards_[shard].counters.add("rx_total");
+  RegistryShard& sh = shards_[shard];
+  sh.counters.add_cached(sh.cells.rx_total, "rx_total");
   if (const auto* q = std::get_if<ArpQuery>(&msg.body)) {
     on_arp_query(msg.sender, *q, shard);
   } else if (const auto* h = std::get_if<HostRegister>(&msg.body)) {
@@ -179,14 +180,14 @@ void FabricManager::on_host_register(SwitchId sender, const HostRegister& m,
 void FabricManager::on_arp_query(SwitchId sender, const ArpQuery& m,
                                  std::size_t shard) {
   RegistryShard& sh = shards_[shard];
-  sh.counters.add("arp_queries");
+  sh.counters.add_cached(sh.cells.arp_queries, "arp_queries");
   const HostRecord* rec = sh.hosts.find(m.ip);
   if (rec == nullptr) {
-    sh.counters.add("arp_misses");
+    sh.counters.add_cached(sh.cells.arp_misses, "arp_misses");
     send(sender, ArpResponse{m.query_id, m.ip, MacAddress::zero(), false});
     return;
   }
-  sh.counters.add("arp_hits");
+  sh.counters.add_cached(sh.cells.arp_hits, "arp_hits");
   send(sender, ArpResponse{m.query_id, m.ip, rec->pmac, true});
 }
 

@@ -189,6 +189,14 @@ class FabricManager {
   struct RegistryShard {
     FmRegistry<HostRecord> hosts;
     CounterSet counters;
+    /// Per-message counter cells, resolved on first use
+    /// (CounterSet::add_cached; map nodes survive moves of the shard).
+    struct Cells {
+      std::uint64_t* rx_total = nullptr;
+      std::uint64_t* arp_queries = nullptr;
+      std::uint64_t* arp_misses = nullptr;
+      std::uint64_t* arp_hits = nullptr;
+    } cells;
     std::uint64_t delta_version = 0;
     bool dirty = false;
     std::unique_ptr<sim::PeriodicTimer> sync_timer;

@@ -1,7 +1,11 @@
 #include "core/messages.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "common/byte_io.h"
 #include "net/ethernet.h"
+#include "sim/frame.h"
 
 namespace portland::core {
 
@@ -10,8 +14,8 @@ namespace portland::core {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> LdpMessage::to_frame() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(net::EthernetHeader::kSize + 24);
+  std::vector<std::uint8_t> out = sim::acquire_frame_bytes();
+  out.reserve(kFrameSize);
   ByteWriter w(out);
   // LDP frames are link-local: broadcast dst, synthetic src derived from
   // the switch id (switches have no real MAC of their own).
@@ -25,6 +29,7 @@ std::vector<std::uint8_t> LdpMessage::to_frame() const {
   w.u64(heard_id);
   w.u8(position);
   w.u32(nonce);
+  assert(out.size() == kFrameSize);
   return out;
 }
 
@@ -164,13 +169,50 @@ struct BodyWriter {
   }
 };
 
+/// Encoded body size after the tag byte, mirroring BodyWriter field by
+/// field (a locator is 12 bytes, an IP 4, a MAC 6).
+struct BodySize {
+  std::size_t operator()(const SwitchHello& m) const {
+    return 12 + 2 + m.neighbors.size() * (2 + 12);
+  }
+  std::size_t operator()(const PodRequest&) const { return 0; }
+  std::size_t operator()(const PodAssignment&) const { return 2; }
+  std::size_t operator()(const HostRegister&) const { return 4 + 6 + 6 + 2; }
+  std::size_t operator()(const ArpQuery&) const { return 4 + 4; }
+  std::size_t operator()(const ArpResponse&) const { return 4 + 4 + 6 + 1; }
+  std::size_t operator()(const FaultNotify&) const { return 2 + 8 + 1; }
+  std::size_t operator()(const PruneUpdate& m) const {
+    return 1 + 2 + m.entries.size() * (2 + 1 + 8 + 1);
+  }
+  std::size_t operator()(const McastJoin&) const { return 4 + 2; }
+  std::size_t operator()(const McastLeave&) const { return 4 + 2; }
+  std::size_t operator()(const McastSenderSeen&) const { return 4; }
+  std::size_t operator()(const McastInstall& m) const {
+    return 4 + 2 + m.ports.size() * 2;
+  }
+  std::size_t operator()(const McastRemove&) const { return 4; }
+  std::size_t operator()(const InvalidateHost&) const { return 4 + 6 + 6; }
+  std::size_t operator()(const FmDelta& m) const {
+    return 4 + 8 + 4 + m.image.size();
+  }
+};
+
 }  // namespace
 
+std::size_t control_wire_size(const ControlMessage& msg) {
+  return 8 + 1 + std::visit(BodySize{}, msg.body);  // sender, tag, body
+}
+
 std::vector<std::uint8_t> serialize_control(const ControlMessage& msg) {
-  std::vector<std::uint8_t> out;
+  // Encoded into a recycled frame buffer reserved to the exact size, so
+  // a steady-state send allocates nothing.
+  const std::size_t size = control_wire_size(msg);
+  std::vector<std::uint8_t> out = sim::acquire_frame_bytes();
+  out.reserve(size);
   ByteWriter w(out);
   w.u64(msg.sender);
   std::visit(BodyWriter{w}, msg.body);
+  assert(out.size() == size);
   return out;
 }
 
@@ -185,6 +227,9 @@ std::optional<ControlMessage> parse_control(
       SwitchHello m;
       m.self = SwitchLocator::deserialize(r);
       const std::uint16_t n = r.u16();
+      // One allocation per periodic hello; a count the bytes cannot hold
+      // (a damaged message) reserves no more than they can.
+      m.neighbors.reserve(std::min<std::size_t>(n, r.remaining_size() / 14));
       for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
         NeighborEntry e;
         e.port = r.u16();

@@ -54,7 +54,12 @@ struct LdpMessage {
   /// Proposal nonce, echoed in acks/nacks.
   std::uint32_t nonce = 0;
 
-  /// Builds the complete Ethernet frame (EtherType kLdp, broadcast dst).
+  /// Wire size of every LDP frame: Ethernet header, type, locator (12),
+  /// sender port, heard id, position, nonce.
+  static constexpr std::size_t kFrameSize = 14 + 1 + 12 + 2 + 8 + 1 + 4;
+
+  /// Builds the complete Ethernet frame (EtherType kLdp, broadcast dst)
+  /// in a recycled frame buffer (sim::acquire_frame_bytes).
   [[nodiscard]] std::vector<std::uint8_t> to_frame() const;
 
   /// Parses a whole frame previously built by to_frame().
@@ -229,9 +234,14 @@ struct ControlMessage {
   ControlBody body;
 };
 
-/// Serializes a control message to bytes (type tag + fields).
+/// Serializes a control message to bytes (type tag + fields), into a
+/// recycled frame buffer (sim::acquire_frame_bytes) reserved to
+/// control_wire_size(msg).
 [[nodiscard]] std::vector<std::uint8_t> serialize_control(
     const ControlMessage& msg);
+
+/// Exact byte length serialize_control produces for `msg`.
+[[nodiscard]] std::size_t control_wire_size(const ControlMessage& msg);
 
 /// Parses bytes produced by serialize_control.
 [[nodiscard]] std::optional<ControlMessage> parse_control(

@@ -550,18 +550,19 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
   if (arp.is_gratuitous()) {
     // Boot/migration announcement: registration already refreshed by
     // ensure_host; PortLand never floods it (§3.3, §3.7).
-    counters().add("garp_consumed");
+    counters().add_cached(arp_cells_.garp_consumed, "garp_consumed");
     return;
   }
 
   if (arp.op == ArpOp::kRequest) {
-    counters().add("arp_requests_intercepted");
+    counters().add_cached(arp_cells_.requests_intercepted,
+                          "arp_requests_intercepted");
     if (config_.arp_coalescing) {
       // Bounded negative cache: a recent FM "not found" for this target
       // answers locally with the same fallback the miss itself took, so
       // a retrying host costs the FM one query per TTL per edge.
       if (negative_arp_fresh(arp.target_ip)) {
-        counters().add("arp_negative_hits");
+        counters().add_cached(arp_cells_.negative_hits, "arp_negative_hits");
         net::FrameRewrite rw;
         rw.eth_src = host.pmac.to_mac();
         rw.arp_sender_mac = host.pmac.to_mac();
@@ -572,26 +573,24 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
       // Coalescer: a duplicate in-flight resolution rides the existing FM
       // query; the single answer fans out to every waiter.
       if (const auto in_flight = pending_query_for(arp.target_ip)) {
-        counters().add("arp_coalesced");
-        pending_arps_[*in_flight].waiters.push_back(
+        counters().add_cached(arp_cells_.coalesced, "arp_coalesced");
+        find_pending_arp(*in_flight)->waiters.push_back(
             ArpWaiter{port, arp.sender_mac, host.pmac.to_mac(), arp.sender_ip,
                       frame});
         return;
       }
     }
     const std::uint32_t query_id = next_query_id_++;
-    PendingArp pending;
+    PendingArp& pending = open_pending_arp(query_id);
     pending.host_port = port;
     pending.requester_amac = arp.sender_mac;
     pending.requester_pmac = host.pmac.to_mac();
     pending.requester_ip = arp.sender_ip;
     pending.target = arp.target_ip;
     pending.original = frame;
-    pending.timer = std::make_unique<sim::Timer>(sim());
-    pending.timer->schedule_after(config_.arp_query_timeout, [this, query_id] {
+    pending.timer.schedule_after(config_.arp_query_timeout, [this, query_id] {
       flood_arp_fallback(query_id);
     });
-    pending_arps_.emplace(query_id, std::move(pending));
     const auto key = std::make_pair(arp.target_ip.value(), query_id);
     pending_by_target_.insert(
         std::lower_bound(pending_by_target_.begin(), pending_by_target_.end(),
@@ -612,46 +611,94 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
 }
 
 void PortlandSwitch::on_arp_response(const ArpResponse& m) {
-  const auto it = pending_arps_.find(m.query_id);
-  if (it == pending_arps_.end()) return;  // timed out already
-  PendingArp pending = std::move(it->second);
-  pending_arps_.erase(it);
-  unindex_pending_target(pending.target, m.query_id);
-  pending.timer->cancel();
+  PendingArp* pending = find_pending_arp(m.query_id);
+  if (pending == nullptr) return;  // timed out already
+  unindex_pending_target(pending->target, m.query_id);
+  pending->timer.cancel();
 
+  // Sending cannot re-enter this switch (links add latency), so the
+  // record stays valid until it is closed.
   if (!m.found) {
     // Fabric-manager miss: fall back to a loop-free broadcast of the
     // original request so the owner can answer directly, and remember the
     // miss so immediate retries stay off the FM.
-    counters().add("arp_fallback_broadcasts");
-    broadcast_pending_arp(pending);
-    note_negative_arp(pending.target);
+    counters().add_cached(arp_cells_.fallback_broadcasts,
+                          "arp_fallback_broadcasts");
+    broadcast_pending_arp(*pending);
+    note_negative_arp(pending->target);
+    close_pending_arp(m.query_id);
     return;
   }
 
-  counters().add("arp_proxied_replies");
+  counters().add_cached(arp_cells_.proxied_replies, "arp_proxied_replies");
   const ArpMessage reply = ArpMessage::reply(
-      m.pmac, m.ip, pending.requester_amac, pending.requester_ip);
-  send(pending.host_port,
-       sim::make_frame(net::build_arp_frame(pending.requester_amac,
+      m.pmac, m.ip, pending->requester_amac, pending->requester_ip);
+  send(pending->host_port,
+       sim::make_frame(net::build_arp_frame(pending->requester_amac,
                                             m.pmac, reply)));
-  for (const ArpWaiter& waiter : pending.waiters) {
-    counters().add("arp_proxied_replies");
+  for (const ArpWaiter& waiter : pending->waiters) {
+    counters().add_cached(arp_cells_.proxied_replies, "arp_proxied_replies");
     const ArpMessage fanned =
         ArpMessage::reply(m.pmac, m.ip, waiter.amac, waiter.ip);
     send(waiter.host_port,
          sim::make_frame(net::build_arp_frame(waiter.amac, m.pmac, fanned)));
   }
+  close_pending_arp(m.query_id);
 }
 
 void PortlandSwitch::flood_arp_fallback(std::uint32_t query_id) {
-  const auto it = pending_arps_.find(query_id);
-  if (it == pending_arps_.end()) return;
-  counters().add("arp_query_timeouts");
-  PendingArp pending = std::move(it->second);
+  PendingArp* pending = find_pending_arp(query_id);
+  if (pending == nullptr) return;
+  counters().add_cached(arp_cells_.query_timeouts, "arp_query_timeouts");
+  unindex_pending_target(pending->target, query_id);
+  broadcast_pending_arp(*pending);
+  close_pending_arp(query_id);
+}
+
+PortlandSwitch::PendingArp* PortlandSwitch::find_pending_arp(
+    std::uint32_t query_id) {
+  const auto it = std::lower_bound(
+      pending_arps_.begin(), pending_arps_.end(),
+      std::make_pair(query_id, std::uint32_t{0}));
+  if (it == pending_arps_.end() || it->first != query_id) return nullptr;
+  return arp_pool_[it->second].get();
+}
+
+PortlandSwitch::PendingArp& PortlandSwitch::open_pending_arp(
+    std::uint32_t query_id) {
+  const auto key = std::make_pair(query_id, take_arp_slot());
+  // Ids are issued in increasing order, so this is almost always an
+  // append.
+  pending_arps_.insert(
+      std::lower_bound(pending_arps_.begin(), pending_arps_.end(), key), key);
+  return *arp_pool_[key.second];
+}
+
+void PortlandSwitch::close_pending_arp(std::uint32_t query_id) {
+  const auto it = std::lower_bound(
+      pending_arps_.begin(), pending_arps_.end(),
+      std::make_pair(query_id, std::uint32_t{0}));
+  if (it == pending_arps_.end() || it->first != query_id) return;
+  release_arp_slot(it->second);
   pending_arps_.erase(it);
-  unindex_pending_target(pending.target, query_id);
-  broadcast_pending_arp(pending);
+}
+
+std::uint32_t PortlandSwitch::take_arp_slot() {
+  if (arp_free_.empty()) {
+    arp_free_.push_back(static_cast<std::uint32_t>(arp_pool_.size()));
+    arp_pool_.push_back(std::make_unique<PendingArp>(sim()));
+  }
+  const std::uint32_t slot = arp_free_.back();
+  arp_free_.pop_back();
+  return slot;
+}
+
+void PortlandSwitch::release_arp_slot(std::uint32_t slot) {
+  PendingArp& p = *arp_pool_[slot];
+  p.timer.cancel();
+  p.original.reset();
+  p.waiters.clear();
+  arp_free_.push_back(slot);
 }
 
 void PortlandSwitch::broadcast_pending_arp(const PendingArp& pending) {
@@ -1032,7 +1079,8 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
   }
 
   w.u32(static_cast<std::uint32_t>(pending_arps_.size()));
-  for (const auto& [query_id, pending] : pending_arps_) {
+  for (const auto& [query_id, slot] : pending_arps_) {
+    const PendingArp& pending = *arp_pool_[slot];
     w.u32(query_id);
     w.u64(pending.host_port);
     w.u64(pending.requester_amac.to_u64());
@@ -1040,7 +1088,7 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(pending.requester_ip.value());
     w.u32(pending.target.value());
     w.frame(pending.original);
-    pending.timer->save_state(w);
+    pending.timer.save_state(w);
     w.u32(static_cast<std::uint32_t>(pending.waiters.size()));
     for (const ArpWaiter& waiter : pending.waiters) {
       w.u64(waiter.host_port);
@@ -1146,21 +1194,23 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     redirects_.emplace(old_pmac, std::move(redirect));
   }
 
-  pending_arps_.clear();
+  while (!pending_arps_.empty()) {
+    close_pending_arp(pending_arps_.back().first);
+  }
   // Per pending query: id, port, three addresses, target, frame flag,
   // timer record (2 + 4 + 8 + 8), waiter count.
   const std::uint32_t n_arps = r.count(4 + 8 + 8 + 8 + 4 + 4 + 1 + 22 + 4);
   for (std::uint32_t i = 0; i < n_arps && r.ok(); ++i) {
     const std::uint32_t query_id = r.u32();
-    PendingArp pending;
+    const std::uint32_t slot = take_arp_slot();
+    PendingArp& pending = *arp_pool_[slot];
     pending.host_port = restore_port(r, ports);
     pending.requester_amac = MacAddress::from_u64(r.u64());
     pending.requester_pmac = MacAddress::from_u64(r.u64());
     pending.requester_ip = Ipv4Address(r.u32());
     pending.target = Ipv4Address(r.u32());
     pending.original = r.frame();
-    pending.timer = std::make_unique<sim::Timer>(sim());
-    pending.timer->restore_at(
+    pending.timer.restore_at(
         r, [this, query_id] { flood_arp_fallback(query_id); });
     const std::uint32_t n_waiters = r.count(8 + 8 + 8 + 4 + 1);
     pending.waiters.reserve(n_waiters);
@@ -1173,13 +1223,22 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
       waiter.original = r.frame();
       pending.waiters.push_back(std::move(waiter));
     }
-    pending_arps_.emplace(query_id, std::move(pending));
+    // A repeated id (only in a damaged image) keeps its first record.
+    if (find_pending_arp(query_id) != nullptr) {
+      release_arp_slot(slot);
+      continue;
+    }
+    const auto key = std::make_pair(query_id, slot);
+    pending_arps_.insert(
+        std::lower_bound(pending_arps_.begin(), pending_arps_.end(), key),
+        key);
   }
   next_query_id_ = r.u32();
   // The coalescer index is derived from pending_arps_; rebuild it.
   pending_by_target_.clear();
-  for (const auto& [query_id, pending] : pending_arps_) {
-    pending_by_target_.emplace_back(pending.target.value(), query_id);
+  for (const auto& [query_id, slot] : pending_arps_) {
+    pending_by_target_.emplace_back(arp_pool_[slot]->target.value(),
+                                    query_id);
   }
   std::sort(pending_by_target_.begin(), pending_by_target_.end());
   arp_negative_.clear();

@@ -124,14 +124,19 @@ class PortlandSwitch : public sim::Device {
     Ipv4Address ip;
     sim::FramePtr original;
   };
+  /// One in-flight FM query. Records are pooled: a finished record keeps
+  /// its timeout timer (with the timer's shared core) and its waiter
+  /// capacity for the next query, so steady-state proxy ARP allocates
+  /// nothing.
   struct PendingArp {
+    explicit PendingArp(sim::Simulator& sim) : timer(sim) {}
     sim::PortId host_port = 0;
     MacAddress requester_amac;
     MacAddress requester_pmac;
     Ipv4Address requester_ip;
     Ipv4Address target;
     sim::FramePtr original;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
     std::vector<ArpWaiter> waiters;
   };
   /// One bounded negative-cache entry: the FM answered "not found" for
@@ -216,6 +221,14 @@ class PortlandSwitch : public sim::Device {
                        const sim::FramePtr& frame);
   void on_arp_response(const ArpResponse& m);
   void flood_arp_fallback(std::uint32_t query_id);
+  /// The live query `query_id`, or nullptr.
+  [[nodiscard]] PendingArp* find_pending_arp(std::uint32_t query_id);
+  /// A cleared pooled record indexed under `query_id` (absent).
+  PendingArp& open_pending_arp(std::uint32_t query_id);
+  /// Unindexes `query_id` and returns its record to the pool.
+  void close_pending_arp(std::uint32_t query_id);
+  [[nodiscard]] std::uint32_t take_arp_slot();
+  void release_arp_slot(std::uint32_t slot);
   void send_garp_to_sender(MacAddress old_pmac, MacAddress sender_pmac);
   /// Loop-free broadcast of the original request for the primary
   /// requester and every coalesced waiter (FM miss / query timeout).
@@ -258,7 +271,10 @@ class PortlandSwitch : public sim::Device {
   HostTable host_table_;
   std::vector<std::uint16_t> next_vmid_;
   std::map<MacAddress, Redirect> redirects_;  // old pmac -> new location
-  std::map<std::uint32_t, PendingArp> pending_arps_;
+  /// Live FM queries, (query id, pool slot), sorted by id.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pending_arps_;
+  std::vector<std::unique_ptr<PendingArp>> arp_pool_;
+  std::vector<std::uint32_t> arp_free_;
   std::uint32_t next_query_id_ = 1;
   /// Coalescer index over pending_arps_: (target IP, query id), sorted.
   /// Derived state — rebuilt from pending_arps_ on restore. Consulted
@@ -300,6 +316,19 @@ class PortlandSwitch : public sim::Device {
   /// Cached CounterSet cells, one per DropReason (kNone unused), so a
   /// per-frame drop bumps a pointer instead of a string-keyed map lookup.
   std::array<std::uint64_t*, obs::kDropReasonCount> drop_cells_{};
+
+  /// Proxy-ARP counter cells, resolved on first use
+  /// (CounterSet::add_cached) so the key set matches plain add() calls.
+  struct ArpCells {
+    std::uint64_t* garp_consumed = nullptr;
+    std::uint64_t* requests_intercepted = nullptr;
+    std::uint64_t* negative_hits = nullptr;
+    std::uint64_t* coalesced = nullptr;
+    std::uint64_t* fallback_broadcasts = nullptr;
+    std::uint64_t* proxied_replies = nullptr;
+    std::uint64_t* query_timeouts = nullptr;
+  };
+  ArpCells arp_cells_;
 
   sim::Timer hello_timer_;
   sim::PeriodicTimer hello_periodic_;

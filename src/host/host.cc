@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <string_view>
 
 #include "common/logging.h"
 #include "net/igmp.h"
@@ -22,10 +24,9 @@ void patch_eth_dst(std::vector<std::uint8_t>& frame, MacAddress dst) {
   std::copy(b.begin(), b.end(), frame.begin());
 }
 
-/// Log2 histogram bucket (in microseconds) for an ARP resolution latency.
+/// Log2 histogram buckets (in microseconds) for ARP resolution latency.
 /// Benches sum these across hosts to report resolution percentiles.
-const char* arp_latency_bucket(SimDuration latency) {
-  static constexpr const char* kBuckets[] = {
+constexpr std::string_view kArpLatencyNames[] = {
       "arp_latency_us_le_1",     "arp_latency_us_le_2",
       "arp_latency_us_le_4",     "arp_latency_us_le_8",
       "arp_latency_us_le_16",    "arp_latency_us_le_32",
@@ -35,12 +36,14 @@ const char* arp_latency_bucket(SimDuration latency) {
       "arp_latency_us_le_4096",  "arp_latency_us_le_8192",
       "arp_latency_us_le_16384", "arp_latency_us_le_32768",
       "arp_latency_us_over",
-  };
-  constexpr std::size_t kLast = std::size(kBuckets) - 1;
+};
+
+std::size_t arp_latency_bucket(SimDuration latency) {
+  constexpr std::size_t kLast = std::size(kArpLatencyNames) - 1;
   const auto us = static_cast<std::uint64_t>(latency / kMicrosecond);
   std::size_t idx = 0;
   while (idx < kLast && (1ull << idx) < us) ++idx;
-  return kBuckets[idx];
+  return idx;
 }
 }  // namespace
 
@@ -90,7 +93,7 @@ void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
   if (bytes.size() >= net::EthernetHeader::kSize &&
       (static_cast<std::uint16_t>(bytes[12]) << 8 | bytes[13]) ==
           net::to_u16(net::EtherType::kLdp)) {
-    counters().add("rx_ignored");
+    counters().add_cached(cells_.rx_ignored, "rx_ignored");
     return;
   }
   const ParsedFrame& parsed = net::parsed_of(frame);
@@ -113,7 +116,7 @@ void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
     handle_ipv4(parsed);
     return;
   }
-  counters().add("rx_ignored");
+  counters().add_cached(cells_.rx_ignored, "rx_ignored");
 }
 
 void Host::handle_arp(const ArpMessage& arp) {
@@ -121,13 +124,13 @@ void Host::handle_arp(const ArpMessage& arp) {
   // or are actively resolving.
   if (!arp.sender_ip.is_zero() &&
       (arp_cache_.contains(arp.sender_ip) ||
-       pending_.count(arp.sender_ip) != 0)) {
+       find_pending(arp.sender_ip) != nullptr)) {
     arp_cache_.insert(arp.sender_ip, arp.sender_mac, sim().now());
     flush_pending(arp.sender_ip, arp.sender_mac);
   }
 
   if (arp.op == ArpOp::kRequest && arp.target_ip == ip_) {
-    counters().add("arp_replies_sent");
+    counters().add_cached(cells_.arp_replies_sent, "arp_replies_sent");
     const ArpMessage reply =
         ArpMessage::reply(mac_, ip_, arp.sender_mac, arp.sender_ip);
     send(0, sim::make_frame(net::build_arp_frame(arp.sender_mac, mac_, reply)));
@@ -202,7 +205,8 @@ void Host::bind_udp(std::uint16_t port, UdpHandler handler) {
 }
 
 void Host::send_udp(Ipv4Address dst, std::uint16_t src_port,
-                    std::uint16_t dst_port, std::vector<std::uint8_t> payload) {
+                    std::uint16_t dst_port,
+                    std::span<const std::uint8_t> payload) {
   // Built with a broadcast placeholder; send_resolved patches the real dst.
   auto frame = net::build_udp_frame(MacAddress::broadcast(), mac_, ip_, dst,
                                     src_port, dst_port, payload);
@@ -283,42 +287,80 @@ void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
     send(0, sim::make_frame(std::move(frame)));
     return;
   }
-  Pending& p = pending_[dst];
-  if (p.frames.size() >= config_.max_pending_frames_per_dst) {
-    counters().add("arp_pending_overflow");
-    p.frames.pop_front();
+  if (Pending* p = find_pending(dst)) {
+    if (p->frames.size() >= config_.max_pending_frames_per_dst) {
+      counters().add("arp_pending_overflow");
+      p->frames.erase(p->frames.begin());
+    }
+    p->frames.push_back(std::move(frame));
+    return;
   }
+  Pending& p = open_pending(dst);
   p.frames.push_back(std::move(frame));
-  if (!p.timer) {
-    p.timer = std::make_unique<sim::Timer>(sim());
-    p.retries = 0;
-    p.first_request_at = sim().now();
-    send_arp_request(dst);
-    p.timer->schedule_after(config_.arp_retry_interval,
-                            [this, dst] { arp_retry_tick(dst); });
+  p.first_request_at = sim().now();
+  send_arp_request(dst);
+  p.timer.schedule_after(config_.arp_retry_interval,
+                         [this, dst] { arp_retry_tick(dst); });
+}
+
+Host::Pending* Host::find_pending(Ipv4Address dst) {
+  const auto it = std::lower_bound(
+      pending_index_.begin(), pending_index_.end(),
+      std::make_pair(dst.value(), std::uint32_t{0}));
+  if (it == pending_index_.end() || it->first != dst.value()) return nullptr;
+  return pending_pool_[it->second].get();
+}
+
+Host::Pending& Host::open_pending(Ipv4Address dst) {
+  if (pending_free_.empty()) {
+    pending_free_.push_back(static_cast<std::uint32_t>(pending_pool_.size()));
+    pending_pool_.push_back(std::make_unique<Pending>(sim()));
   }
+  const auto key = std::make_pair(dst.value(), pending_free_.back());
+  pending_free_.pop_back();
+  pending_index_.insert(
+      std::lower_bound(pending_index_.begin(), pending_index_.end(), key),
+      key);
+  return *pending_pool_[key.second];
+}
+
+void Host::close_pending(Ipv4Address dst) {
+  const auto it = std::lower_bound(
+      pending_index_.begin(), pending_index_.end(),
+      std::make_pair(dst.value(), std::uint32_t{0}));
+  if (it == pending_index_.end() || it->first != dst.value()) return;
+  Pending& p = *pending_pool_[it->second];
+  p.timer.cancel();
+  p.frames.clear();
+  // Keep a short queue's capacity for the next resolution, but not a
+  // burst's: that would pin memory in every host for the rest of a run.
+  if (p.frames.capacity() > kPooledQueueFrames) {
+    p.frames = std::vector<sim::FrameBytes>();
+  }
+  p.retries = 0;
+  p.first_request_at = -1;
+  pending_free_.push_back(it->second);
+  pending_index_.erase(it);
 }
 
 void Host::send_arp_request(Ipv4Address target) {
   ++arp_requests_sent_;
-  counters().add("arp_requests_sent");
+  counters().add_cached(cells_.arp_requests_sent, "arp_requests_sent");
   const ArpMessage req = ArpMessage::request(mac_, ip_, target);
   send(0, sim::make_frame(
               net::build_arp_frame(MacAddress::broadcast(), mac_, req)));
 }
 
 void Host::arp_retry_tick(Ipv4Address target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  if (++p.retries > config_.arp_max_retries) {
+  Pending* p = find_pending(target);
+  if (p == nullptr) return;
+  if (++p->retries > config_.arp_max_retries) {
     counters().add("arp_resolution_failed");
-    pending_.erase(it);  // drop queued frames: unreachable destination
+    close_pending(target);  // drop queued frames: unreachable destination
     return;
   }
   send_arp_request(target);
-  p.timer->schedule_after(config_.arp_retry_interval,
-                          [this, target] { arp_retry_tick(target); });
+  p->timer.rearm(config_.arp_retry_interval);
 }
 
 // --------------------------------------------------------------------------
@@ -328,24 +370,16 @@ void Host::arp_retry_tick(Ipv4Address target) {
 void Host::save_state(sim::SnapshotWriter& w) const {
   arp_cache_.save_state(w);
 
-  // Unresolved sends: sorted by destination IP (the map is unordered and
-  // only keyed lookups matter, so sorting is free determinism).
-  std::vector<const std::pair<const Ipv4Address, Pending>*> pending;
-  pending.reserve(pending_.size());
-  for (const auto& kv : pending_) pending.push_back(&kv);
-  std::sort(pending.begin(), pending.end(), [](const auto* a, const auto* b) {
-    return a->first.value() < b->first.value();
-  });
-  w.u32(static_cast<std::uint32_t>(pending.size()));
-  for (const auto* kv : pending) {
-    w.u32(kv->first.value());
-    w.u32(static_cast<std::uint32_t>(kv->second.retries));
-    w.i64(kv->second.first_request_at);
-    w.u32(static_cast<std::uint32_t>(kv->second.frames.size()));
-    for (const std::vector<std::uint8_t>& frame : kv->second.frames) {
-      w.blob(frame);
-    }
-    kv->second.timer->save_state(w);
+  // Unresolved sends, in the index's destination-IP order.
+  w.u32(static_cast<std::uint32_t>(pending_index_.size()));
+  for (const auto& [dst, slot] : pending_index_) {
+    const Pending& p = *pending_pool_[slot];
+    w.u32(dst);
+    w.u32(static_cast<std::uint32_t>(p.retries));
+    w.i64(p.first_request_at);
+    w.u32(static_cast<std::uint32_t>(p.frames.size()));
+    for (const sim::FrameBytes& frame : p.frames) w.blob(frame);
+    p.timer.save_state(w);
   }
 
   w.u16(next_ephemeral_port_);
@@ -367,21 +401,23 @@ void Host::save_state(sim::SnapshotWriter& w) const {
 void Host::restore_state(sim::SnapshotReader& r) {
   arp_cache_.restore_state(r);
 
-  pending_.clear();
+  while (!pending_index_.empty()) {
+    close_pending(Ipv4Address(pending_index_.back().first));
+  }
   // Per pending resolution: dst, retries, first-request time, frame
   // count, timer record.
   const std::uint32_t n_pending = r.count(4 + 4 + 8 + 4 + 22);
   for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
     const Ipv4Address dst(r.u32());
-    Pending& p = pending_[dst];
+    Pending* existing = find_pending(dst);
+    Pending& p = existing != nullptr ? *existing : open_pending(dst);
     p.retries = static_cast<int>(r.u32());
     p.first_request_at = r.i64();
     const std::uint32_t n_frames = r.count(4);
     for (std::uint32_t j = 0; j < n_frames && r.ok(); ++j) {
       p.frames.push_back(r.blob());
     }
-    p.timer = std::make_unique<sim::Timer>(sim());
-    p.timer->restore_at(r, [this, dst] { arp_retry_tick(dst); });
+    p.timer.restore_at(r, [this, dst] { arp_retry_tick(dst); });
   }
 
   next_ephemeral_port_ = r.u16();
@@ -412,19 +448,24 @@ void Host::restore_state(sim::SnapshotReader& r) {
 }
 
 void Host::flush_pending(Ipv4Address dst, MacAddress mac) {
-  const auto it = pending_.find(dst);
-  if (it == pending_.end()) return;
-  if (it->second.first_request_at >= 0) {
-    counters().add("arp_resolutions");
-    counters().add(arp_latency_bucket(sim().now() -
-                                      it->second.first_request_at));
+  Pending* p = find_pending(dst);
+  if (p == nullptr) return;
+  if (p->first_request_at >= 0) {
+    static_assert(std::size(kArpLatencyNames) == kArpLatencyBuckets);
+    counters().add_cached(cells_.arp_resolutions, "arp_resolutions");
+    const std::size_t bucket =
+        arp_latency_bucket(sim().now() - p->first_request_at);
+    counters().add_cached(cells_.arp_latency[bucket],
+                          kArpLatencyNames[bucket]);
   }
-  std::deque<std::vector<std::uint8_t>> frames = std::move(it->second.frames);
-  pending_.erase(it);
-  for (auto& f : frames) {
+  // Sending cannot re-enter this host (links add latency), so the record
+  // stays valid until it is closed.
+  p->timer.cancel();
+  for (sim::FrameBytes& f : p->frames) {
     patch_eth_dst(f, mac);
     send(0, sim::make_frame(std::move(f)));
   }
+  close_pending(dst);
 }
 
 }  // namespace portland::host

@@ -7,14 +7,13 @@
 // fabric, which is the point.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ipv4_address.h"
@@ -68,8 +67,14 @@ class Host : public sim::Device {
   void bind_udp(std::uint16_t port, UdpHandler handler);
 
   /// Sends a UDP datagram (resolving the destination with ARP as needed).
+  /// The payload is copied into the frame; callers that reuse one buffer
+  /// per datagram pass a span.
   void send_udp(Ipv4Address dst, std::uint16_t src_port,
-                std::uint16_t dst_port, std::vector<std::uint8_t> payload);
+                std::uint16_t dst_port, std::span<const std::uint8_t> payload);
+  void send_udp(Ipv4Address dst, std::uint16_t src_port,
+                std::uint16_t dst_port, std::vector<std::uint8_t> payload) {
+    send_udp(dst, src_port, dst_port, std::span<const std::uint8_t>(payload));
+  }
 
   // --- TCP -----------------------------------------------------------
   /// Active-opens a connection; returns a stable pointer owned by the host.
@@ -124,15 +129,44 @@ class Host : public sim::Device {
   ArpCache arp_cache_;
   std::uint64_t isn_state_;
 
+  /// One unresolved destination. Records are pooled: a finished record
+  /// keeps its frame-queue capacity and its retry timer (with the
+  /// timer's shared core) for the next resolution, so steady-state ARP
+  /// resolution allocates nothing.
   struct Pending {
-    std::deque<std::vector<std::uint8_t>> frames;
+    explicit Pending(sim::Simulator& sim) : timer(sim) {}
+    std::vector<sim::FrameBytes> frames;  // oldest first
     int retries = 0;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
     /// When the first ARP request for this destination went out; stamps
     /// the resolution-latency histogram when the answer arrives (E22).
     SimTime first_request_at = -1;
   };
-  std::unordered_map<Ipv4Address, Pending> pending_;
+  /// Queue capacity a pooled record keeps (see close_pending).
+  static constexpr std::size_t kPooledQueueFrames = 4;
+  /// The live record for `dst`, or nullptr.
+  [[nodiscard]] Pending* find_pending(Ipv4Address dst);
+  /// A cleared record from the pool, indexed under `dst` (absent).
+  Pending& open_pending(Ipv4Address dst);
+  /// Unindexes `dst` and returns its record to the pool.
+  void close_pending(Ipv4Address dst);
+
+  /// Live pending records, (destination IP, pool slot), sorted by IP.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pending_index_;
+  std::vector<std::unique_ptr<Pending>> pending_pool_;
+  std::vector<std::uint32_t> pending_free_;
+
+  /// Counter cells for the per-message counters, resolved on first use
+  /// (CounterSet::add_cached) so the key set matches plain add() calls.
+  static constexpr std::size_t kArpLatencyBuckets = 17;  // le_1..over
+  struct CounterCells {
+    std::uint64_t* rx_ignored = nullptr;
+    std::uint64_t* arp_requests_sent = nullptr;
+    std::uint64_t* arp_replies_sent = nullptr;
+    std::uint64_t* arp_resolutions = nullptr;
+    std::array<std::uint64_t*, kArpLatencyBuckets> arp_latency{};
+  };
+  CounterCells cells_;
 
   std::map<std::uint16_t, UdpHandler> udp_handlers_;
   std::map<std::uint16_t, std::function<void(TcpConnection&)>> listeners_;

@@ -1,27 +1,35 @@
 #include "net/ipv4.h"
 
+#include <array>
+
 #include "net/checksum.h"
 
 namespace portland::net {
 
 void Ipv4Header::serialize(ByteWriter& w) const {
-  std::vector<std::uint8_t> hdr;
-  hdr.reserve(kSize);
-  ByteWriter hw(hdr);
-  hw.u8(0x45);  // version 4, IHL 5
-  hw.u8(dscp);
-  hw.u16(total_length);
-  hw.u16(identification);
-  hw.u16(0);  // flags/fragment offset: never fragmented in this fabric
-  hw.u8(ttl);
-  hw.u8(protocol);
-  hw.u16(0);  // checksum placeholder
-  src.serialize(hw);
-  dst.serialize(hw);
+  // Built on the stack so the checksum can cover it before it is
+  // appended: no temporary heap buffer per frame.
+  std::array<std::uint8_t, kSize> hdr{};
+  const auto put16 = [&hdr](std::size_t at, std::uint16_t v) {
+    hdr[at] = static_cast<std::uint8_t>(v >> 8);
+    hdr[at + 1] = static_cast<std::uint8_t>(v);
+  };
+  const auto put32 = [&put16](std::size_t at, std::uint32_t v) {
+    put16(at, static_cast<std::uint16_t>(v >> 16));
+    put16(at + 2, static_cast<std::uint16_t>(v));
+  };
+  hdr[0] = 0x45;  // version 4, IHL 5
+  hdr[1] = dscp;
+  put16(2, total_length);
+  put16(4, identification);
+  // Bytes 6-7, flags/fragment offset: never fragmented in this fabric.
+  hdr[8] = ttl;
+  hdr[9] = protocol;
+  // Bytes 10-11: checksum, filled in below.
+  put32(12, src.value());
+  put32(16, dst.value());
 
-  const std::uint16_t csum = internet_checksum(hdr);
-  hdr[10] = static_cast<std::uint8_t>(csum >> 8);
-  hdr[11] = static_cast<std::uint8_t>(csum);
+  put16(10, internet_checksum(hdr));
   w.bytes(hdr);
 }
 

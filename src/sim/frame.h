@@ -53,8 +53,12 @@ constexpr std::size_t kBytePoolMaxCapacity = 16 * 1024;
 /// Minimal STL allocator over a thread-local freelist of fixed-size
 /// blocks. Used via std::allocate_shared so a Frame (or a parse summary)
 /// and its shared_ptr control block come from — and return to — the pool
-/// as one block. Blocks may retire on a different thread than they were
-/// taken from; each thread's pool simply absorbs what dies on it.
+/// as one block, and by link trains, whose std::deque allocates its
+/// fixed-size chunks through it. Each pool recycles blocks of the first
+/// element count it is asked for (1 for allocate_shared, the chunk
+/// length for a deque); other counts go straight to the heap. Blocks may
+/// retire on a different thread than they were taken from; each thread's
+/// pool simply absorbs what dies on it.
 template <typename T>
 struct RecycleAllocator {
   using value_type = T;
@@ -66,6 +70,7 @@ struct RecycleAllocator {
   static constexpr std::size_t kMaxBlocks = 1024;
 
   struct Pool {
+    std::size_t n = 0;  // element count of the recycled blocks
     std::vector<void*> blocks;
     ~Pool() {
       for (void* b : blocks) {
@@ -79,24 +84,21 @@ struct RecycleAllocator {
   }
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    if (n == 1) {
-      auto& blocks = pool().blocks;
-      if (!blocks.empty()) {
-        void* b = blocks.back();
-        blocks.pop_back();
-        return static_cast<T*>(b);
-      }
+    Pool& p = pool();
+    if (p.n == 0) p.n = n;
+    if (n == p.n && !p.blocks.empty()) {
+      void* b = p.blocks.back();
+      p.blocks.pop_back();
+      return static_cast<T*>(b);
     }
     return static_cast<T*>(
         ::operator new(n * sizeof(T), std::align_val_t(alignof(T))));
   }
   void deallocate(T* ptr, std::size_t n) noexcept {
-    if (n == 1) {
-      auto& blocks = pool().blocks;
-      if (blocks.size() < kMaxBlocks) {
-        blocks.push_back(ptr);
-        return;
-      }
+    Pool& p = pool();
+    if (n == p.n && p.blocks.size() < kMaxBlocks) {
+      p.blocks.push_back(ptr);
+      return;
     }
     ::operator delete(ptr, std::align_val_t(alignof(T)));
   }

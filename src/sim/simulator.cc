@@ -474,6 +474,9 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     sh.now = time;
     ++sh.executed;
     owner->execute_data_event(kind, arg, frame, bytes);
+    // Control messages are encoded into pooled buffers; hand the
+    // capacity back so the next encode reuses it.
+    recycle_frame_bytes(std::move(bytes));
     return;
   }
   if (slot.timer != nullptr) {

@@ -57,7 +57,10 @@ struct Train {
   Deliver deliver = nullptr;
   int from_side = 0;
   bool scheduled = false;
-  std::deque<TrainEntry> entries;
+  /// Chunks recycle through a thread-local pool: a train that holds one
+  /// frame at a time (an LDM every period) would otherwise free and
+  /// allocate a deque chunk every few frames.
+  std::deque<TrainEntry, detail::RecycleAllocator<TrainEntry>> entries;
   /// Serializable identity of `deliver`: when set, per-frame fallbacks
   /// (mailbox cap/monotonicity misses) schedule a data event against this
   /// owner instead of an opaque closure, keeping the queue checkpointable.

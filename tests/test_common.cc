@@ -1,6 +1,9 @@
 // Unit tests for the common substrate: byte I/O, addresses, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "common/byte_io.h"
 #include "common/histogram.h"
 #include "common/ipv4_address.h"
@@ -194,6 +197,43 @@ TEST(CounterSet, AddAndGet) {
   c.add("x", 4);
   EXPECT_EQ(c.get("x"), 5u);
   EXPECT_EQ(c.get("missing"), 0u);
+}
+
+TEST(CounterSet, LiteralViewAndStringNamesAgree) {
+  // The same names added as literals, string_views and std::strings give
+  // the same keys, values and key fingerprint (lookups never build a
+  // string, insertions store one).
+  const std::string long_name = "arp_latency_us_le_1024";
+  CounterSet literal;
+  literal.add("arp_latency_us_le_1024");
+  literal.add("x", 3);
+  CounterSet view;
+  view.add(std::string_view(long_name));
+  view.add(std::string_view("x"), 3);
+  CounterSet owned;
+  owned.add(long_name);
+  owned.add(std::string("x"), 3);
+  for (const CounterSet* c : {&view, &owned}) {
+    EXPECT_EQ(c->all(), literal.all());
+    EXPECT_EQ(c->key_fingerprint(), literal.key_fingerprint());
+  }
+  EXPECT_EQ(literal.get(std::string_view(long_name)), 1u);
+  EXPECT_EQ(literal.get(long_name), 1u);
+}
+
+TEST(CounterSet, CachedCellsCreateKeysLikeAdd) {
+  CounterSet plain;
+  CounterSet cached;
+  std::uint64_t* cell = nullptr;
+  EXPECT_EQ(cached.size(), 0u);  // nothing until the first bump
+  for (int i = 0; i < 3; ++i) {
+    plain.add("arp_requests_sent");
+    cached.add_cached(cell, "arp_requests_sent");
+  }
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell, cached.handle("arp_requests_sent"));
+  EXPECT_EQ(cached.all(), plain.all());
+  EXPECT_EQ(cached.key_fingerprint(), plain.key_fingerprint());
 }
 
 TEST(Histogram, CdfMonotone) {

@@ -122,6 +122,80 @@ TEST(FabricGraph, KeysForLink) {
   EXPECT_TRUE(fx.graph.keys_for_link(1, 2).empty());
 }
 
+TEST(FabricGraph, IdenticalHelloRefreshIsANoOp) {
+  const SwitchLocator x{10, Level::kEdge, 0, 0};
+  const SwitchLocator y{20, Level::kAggregation, 0, 0};
+  const SwitchLocator z{21, Level::kAggregation, 0, 1};
+  SwitchHello hx{x, {NeighborEntry{2, y}, NeighborEntry{3, z}}};
+  FabricGraph graph;
+  const HelloDelta first = graph.apply_hello(x.switch_id, hx);
+  EXPECT_TRUE(first.changed);
+
+  // A verbatim refresh changes nothing.
+  const HelloDelta refresh = graph.apply_hello(x.switch_id, hx);
+  EXPECT_FALSE(refresh.changed);
+  EXPECT_FALSE(refresh.routing_changed);
+
+  // A changed port after a refresh is still seen...
+  SwitchHello moved = hx;
+  moved.neighbors[1].port = 4;
+  EXPECT_TRUE(graph.apply_hello(x.switch_id, moved).changed);
+  EXPECT_EQ(graph.port_between(x.switch_id, z.switch_id), 4);
+  // ...and so is a changed locator, which also moves routing.
+  SwitchHello relocated = moved;
+  relocated.self.position = 1;
+  const HelloDelta loc = graph.apply_hello(x.switch_id, relocated);
+  EXPECT_TRUE(loc.changed);
+  EXPECT_TRUE(loc.routing_changed);
+  // Ports reported out of order never match the sorted port map.
+  SwitchHello reordered = relocated;
+  std::swap(reordered.neighbors[0], reordered.neighbors[1]);
+  EXPECT_FALSE(graph.apply_hello(x.switch_id, reordered).routing_changed);
+  EXPECT_EQ(graph.port_between(x.switch_id, y.switch_id), 2);
+}
+
+TEST(FabricGraph, HelloRecreatesLinkMissingFromFaultMatrix) {
+  // A graph restored from an image whose fault matrix lacks a reported
+  // link: a verbatim hello must take the slow path and re-create it.
+  const SwitchLocator x{10, Level::kEdge, 0, 0};
+  const SwitchLocator y{20, Level::kAggregation, 0, 0};
+  const SwitchHello hx{x, {NeighborEntry{2, y}}};
+  FabricGraph source;
+  source.apply_hello(x.switch_id, hx);
+  ASSERT_TRUE(source.link_alive(x.switch_id, y.switch_id));
+
+  std::vector<std::uint8_t> image;
+  sim::SnapshotWriter w(image);
+  source.save_state(w);
+  // Image: u64 hash, u32 payload length, payload ending in the link
+  // block (u32 count, then 17 bytes for the one link). Drop the link.
+  sim::SnapshotReader r(image);
+  r.u64();
+  const std::uint32_t len = r.u32();
+  ASSERT_TRUE(r.ok());
+  std::vector<std::uint8_t> payload(image.begin() + 12,
+                                    image.begin() + 12 + len);
+  ASSERT_GE(payload.size(), 4u + 17u);
+  payload.resize(payload.size() - 17);
+  std::fill(payload.end() - 4, payload.end(), 0);
+  std::vector<std::uint8_t> damaged;
+  sim::SnapshotWriter dw(damaged);
+  dw.u64(0);
+  dw.blob(payload);
+
+  FabricGraph graph;
+  sim::SnapshotReader dr(damaged);
+  graph.restore_state(dr);
+  ASSERT_TRUE(dr.ok());
+  ASSERT_TRUE(graph.adjacent(x.switch_id, y.switch_id));
+  ASSERT_FALSE(graph.link_alive(x.switch_id, y.switch_id));
+
+  const HelloDelta delta = graph.apply_hello(x.switch_id, hx);
+  EXPECT_FALSE(delta.changed);
+  EXPECT_TRUE(delta.routing_changed);
+  EXPECT_TRUE(graph.link_alive(x.switch_id, y.switch_id));
+}
+
 TEST(FabricGraph, NoPrunesOnHealthyFabric) {
   GraphFixture fx;
   EXPECT_TRUE(fx.graph.compute_prunes(DstKey{0, 0}).empty());

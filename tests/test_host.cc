@@ -2,6 +2,8 @@
 // Topology: two hosts on one link (a degenerate L2 segment) unless stated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "host/apps.h"
 #include "host/host.h"
 #include "sim/network.h"
@@ -39,6 +41,94 @@ TEST(ArpCache, InsertLookupExpire) {
   cache.invalidate(kIpA);
   EXPECT_FALSE(cache.contains(kIpA));
   EXPECT_FALSE(cache.lookup(kIpB, 0).has_value());
+}
+
+TEST(ArpCache, ExpiresStrictlyAfterLifetime) {
+  ArpCache cache(millis(100));
+  cache.insert(kIpA, kMacA, millis(10));
+  // Expired once now - learned_at > lifetime, not at equality.
+  EXPECT_EQ(cache.lookup(kIpA, millis(110)), kMacA);
+  EXPECT_FALSE(cache.lookup(kIpA, millis(110) + 1).has_value());
+  // A refresh restarts the lifetime.
+  cache.insert(kIpA, kMacB, millis(110) + 1);
+  EXPECT_EQ(cache.lookup(kIpA, millis(210)), kMacB);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ArpCache, InvalidateReinsertAndGrowth) {
+  ArpCache cache(seconds(600));
+  constexpr std::uint32_t kN = 3000;  // many resizes from the empty table
+  auto ip = [](std::uint32_t i) { return Ipv4Address(0x0A000000u + i); };
+  auto mac = [](std::uint32_t i) { return MacAddress::from_u64(0x1000 + i); };
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    cache.insert(ip(i), mac(i), i);
+    if (i >= 100) {
+      // 20-byte slots at a load of 3/5 to 3/4.
+      EXPECT_LE(cache.memory_bytes(), 34 * cache.size()) << i;
+    }
+  }
+  ASSERT_EQ(cache.size(), kN);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(cache.lookup(ip(i), i), mac(i)) << i;
+  }
+  // Invalidate every other entry; the rest stay reachable (deletion
+  // shifts probe runs back instead of leaving tombstones).
+  for (std::uint32_t i = 0; i < kN; i += 2) cache.invalidate(ip(i));
+  EXPECT_EQ(cache.size(), kN / 2);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(cache.contains(ip(i)), i % 2 == 1) << i;
+  }
+  cache.invalidate(ip(0));  // absent: no-op
+  EXPECT_EQ(cache.size(), kN / 2);
+  for (std::uint32_t i = 0; i < kN; i += 2) {
+    cache.insert(ip(i), mac(i + 1), kN);
+  }
+  EXPECT_EQ(cache.size(), kN);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(cache.lookup(ip(i), kN), mac(i % 2 == 0 ? i + 1 : i)) << i;
+  }
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.contains(ip(1)));
+}
+
+TEST(ArpCache, SnapshotImageIsIpSorted) {
+  ArpCache cache(seconds(600));
+  const Ipv4Address ips[] = {Ipv4Address(10, 9, 0, 1), Ipv4Address(10, 0, 0, 7),
+                             Ipv4Address(192, 168, 1, 1),
+                             Ipv4Address(10, 0, 0, 2)};
+  for (std::size_t i = 0; i < std::size(ips); ++i) {
+    cache.insert(ips[i], MacAddress::from_u64(0xA0 + i),
+                 static_cast<SimTime>(1000 * i));
+  }
+  std::vector<std::uint8_t> image;
+  sim::SnapshotWriter w(image);
+  cache.save_state(w);
+
+  // The image layout: count, then (ip, mac, learned_at) by ascending IP.
+  std::vector<std::size_t> order = {0, 1, 2, 3};
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return ips[a].value() < ips[b].value();
+  });
+  std::vector<std::uint8_t> expected;
+  sim::SnapshotWriter e(expected);
+  e.u32(4);
+  for (const std::size_t i : order) {
+    e.u32(ips[i].value());
+    e.u64(0xA0 + i);
+    e.i64(static_cast<SimTime>(1000 * i));
+  }
+  EXPECT_EQ(image, expected);
+
+  ArpCache restored(seconds(600));
+  sim::SnapshotReader r(image);
+  restored.restore_state(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(restored.size(), 4u);
+  std::vector<std::uint8_t> again;
+  sim::SnapshotWriter w2(again);
+  restored.save_state(w2);
+  EXPECT_EQ(again, image);
 }
 
 TEST(Host, ResolvesViaArpAndDeliversUdp) {

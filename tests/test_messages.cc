@@ -59,6 +59,7 @@ TEST(Ldp, LdmFrameRoundTrip) {
   m.from = SwitchLocator{0x1234, Level::kAggregation, 7, kUnknownPosition};
   m.sender_port = 3;
   const auto frame = m.to_frame();
+  EXPECT_EQ(frame.size(), LdpMessage::kFrameSize);
   const auto out = LdpMessage::from_frame(frame);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->type, LdpType::kLdm);
@@ -84,9 +85,11 @@ TEST(Ldp, RejectsNonLdpFrames) {
   EXPECT_FALSE(LdpMessage::from_frame(junk).has_value());
 }
 
-/// Round-trips one control message and returns the parsed copy.
+/// Round-trips one control message and returns the parsed copy. The
+/// encoding must be exactly the size serialize_control reserves.
 ControlMessage round_trip(ControlMessage in) {
   const auto bytes = serialize_control(in);
+  EXPECT_EQ(bytes.size(), control_wire_size(in));
   const auto out = parse_control(bytes);
   EXPECT_TRUE(out.has_value());
   EXPECT_EQ(out->sender, in.sender);
@@ -190,6 +193,18 @@ TEST(Control, InvalidateHost) {
   const auto& m = std::get<InvalidateHost>(out.body);
   EXPECT_EQ(m.old_pmac, inv.old_pmac);
   EXPECT_EQ(m.new_pmac, inv.new_pmac);
+}
+
+TEST(Control, FmDeltaImage) {
+  FmDelta delta;
+  delta.section = 3;
+  delta.version = 42;
+  delta.image = {1, 2, 3, 4, 5};
+  const auto out = round_trip({kFabricManagerId, delta});
+  const auto& m = std::get<FmDelta>(out.body);
+  EXPECT_EQ(m.section, 3u);
+  EXPECT_EQ(m.version, 42u);
+  EXPECT_EQ(m.image, delta.image);
 }
 
 TEST(Control, GarbageRejected) {

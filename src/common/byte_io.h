@@ -83,10 +83,13 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return out_->size(); }
 
  private:
+  // Grow, then copy: inserting a range that points at a stack temporary
+  // trips a GCC 12 -Wstringop-overflow false positive once inlined.
   template <typename T>
   void put(T net_order) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&net_order);
-    out_->insert(out_->end(), p, p + sizeof(T));
+    const std::size_t at = out_->size();
+    out_->resize(at + sizeof(T));
+    std::memcpy(out_->data() + at, &net_order, sizeof(T));
   }
 
   std::vector<std::uint8_t>* out_;

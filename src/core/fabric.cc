@@ -473,6 +473,7 @@ void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
   snap.parse.meta_hits = parse.meta_hits;
   snap.parse.meta_attaches = parse.meta_attaches;
   snap.parse.rewrite_copies = parse.rewrite_copies;
+  snap.parse.rewrite_in_place = parse.rewrite_in_place;
 
   const PortlandSwitch::TableBytes tables = total_table_bytes();
   snap.memory.switch_table_bytes = tables.total();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/byte_io.h"
 #include "common/logging.h"
 #include "common/memsize.h"
 #include "net/igmp.h"
@@ -204,6 +205,8 @@ void PortlandSwitch::handle_host_ingress(sim::PortId port,
   }
 
   // Ingress rewrite: the host's AMAC becomes its PMAC fabric-wide (§3.2).
+  // Copy-on-write: a sole-owned frame is patched in place, so `parsed` may
+  // now show the PMAC source too. Nothing below reads the source from it.
   net::FrameRewrite rw;
   rw.eth_src = host->pmac.to_mac();
   const auto rewritten = net::rewrite_frame(frame, rw);
@@ -372,7 +375,12 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         if (rit != redirects_.end() && redirect_depth == 0) {
           counters().add("migration_redirects");
           const MacAddress new_pmac = rit->second.new_pmac;
-          send_garp_to_sender(dst, parsed.eth.src);
+          // The sender as the fabric knows it: the source MAC on the wire,
+          // a PMAC once ingress rewrote it. A local sender's `parsed` may
+          // predate that rewrite (it is shared with the rewrite only when
+          // the frame was patched in place), so read the frame itself.
+          ByteReader src(sim::frame_span(frame).subspan(MacAddress::kSize));
+          send_garp_to_sender(dst, MacAddress::deserialize(src));
           net::FrameRewrite rw;
           rw.eth_dst = new_pmac;
           const auto rewritten = net::rewrite_frame(frame, rw);
@@ -443,8 +451,9 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
 void PortlandSwitch::deliver_to_local_host(const HostEntry& entry,
                                            const ParsedFrame& parsed,
                                            const sim::FramePtr& frame) {
-  // Egress rewrite: PMAC back to the host's actual MAC (§3.2) — a single
-  // buffer copy even when the ARP target MAC needs patching too.
+  // Egress rewrite: PMAC back to the host's actual MAC (§3.2) — patched in
+  // place when this switch holds the only reference, else one buffer copy
+  // even when the ARP target MAC needs patching too.
   net::FrameRewrite rw;
   rw.eth_dst = entry.amac;
   if (parsed.arp.has_value()) rw.arp_target_mac = entry.amac;
@@ -606,7 +615,8 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
   net::FrameRewrite rw;
   rw.eth_src = host.pmac.to_mac();
   rw.arp_sender_mac = host.pmac.to_mac();
-  forward_unicast(port, parsed.eth.dst, parsed, net::rewrite_frame(frame, rw),
+  const auto rewritten = net::rewrite_frame(frame, rw);
+  forward_unicast(port, parsed.eth.dst, parsed, rewritten,
                   /*redirect_depth=*/0);
 }
 
@@ -701,20 +711,23 @@ void PortlandSwitch::release_arp_slot(std::uint32_t slot) {
   arp_free_.push_back(slot);
 }
 
-void PortlandSwitch::broadcast_pending_arp(const PendingArp& pending) {
+void PortlandSwitch::broadcast_pending_arp(PendingArp& pending) {
+  // Taking the requests out of the record leaves each one sole-owned (the
+  // rewrite patches it in place) and the record holding no frame whose
+  // bytes the rewrite changed.
+  const sim::FramePtr original = std::move(pending.original);
   net::FrameRewrite rw;
   rw.eth_src = pending.requester_pmac;
   rw.arp_sender_mac = pending.requester_pmac;
   forward_broadcast(pending.host_port, /*from_host=*/true,
-                    /*from_above=*/false,
-                    net::rewrite_frame(pending.original, rw));
-  for (const ArpWaiter& waiter : pending.waiters) {
+                    /*from_above=*/false, net::rewrite_frame(original, rw));
+  for (ArpWaiter& waiter : pending.waiters) {
+    const sim::FramePtr request = std::move(waiter.original);
     net::FrameRewrite wrw;
     wrw.eth_src = waiter.pmac;
     wrw.arp_sender_mac = waiter.pmac;
     forward_broadcast(waiter.host_port, /*from_host=*/true,
-                      /*from_above=*/false,
-                      net::rewrite_frame(waiter.original, wrw));
+                      /*from_above=*/false, net::rewrite_frame(request, wrw));
   }
 }
 

@@ -231,8 +231,9 @@ class PortlandSwitch : public sim::Device {
   void release_arp_slot(std::uint32_t slot);
   void send_garp_to_sender(MacAddress old_pmac, MacAddress sender_pmac);
   /// Loop-free broadcast of the original request for the primary
-  /// requester and every coalesced waiter (FM miss / query timeout).
-  void broadcast_pending_arp(const PendingArp& pending);
+  /// requester and every coalesced waiter (FM miss / query timeout). The
+  /// record is about to close, so its frames are moved out, not shared.
+  void broadcast_pending_arp(PendingArp& pending);
   /// In-flight FM query for `target`, if any (coalescer index lookup).
   [[nodiscard]] std::optional<std::uint32_t> pending_query_for(
       Ipv4Address target) const;

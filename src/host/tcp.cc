@@ -1,7 +1,9 @@
 #include "host/tcp.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 
 #include "common/logging.h"
 #include "sim/snapshot.h"
@@ -11,6 +13,36 @@ namespace portland::host {
 using net::seq_leq;
 using net::seq_lt;
 using net::TcpHeader;
+
+namespace {
+/// Two periods of the payload pattern, built at compile time.
+constexpr auto kPatternTable = [] {
+  std::array<std::uint8_t, 2 * TcpConnection::kPatternPeriod> table{};
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = TcpConnection::payload_byte(i);
+  }
+  return table;
+}();
+}  // namespace
+
+std::span<const std::uint8_t> TcpConnection::payload_view(
+    std::uint64_t offset, std::size_t len) {
+  assert(len <= kPatternPeriod);
+  return {kPatternTable.data() + offset % kPatternPeriod, len};
+}
+
+bool TcpConnection::payload_matches(std::uint64_t offset,
+                                    std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const std::size_t n = std::min(bytes.size(), kPatternPeriod);
+    if (std::memcmp(bytes.data(), payload_view(offset, n).data(), n) != 0) {
+      return false;
+    }
+    offset += n;
+    bytes = bytes.subspan(n);
+  }
+  return true;
+}
 
 TcpConnection::TcpConnection(sim::Simulator& sim, TcpEndpointKey key,
                              TcpConfig config, SegmentSink sink,
@@ -22,6 +54,7 @@ TcpConnection::TcpConnection(sim::Simulator& sim, TcpEndpointKey key,
       isn_(isn),
       rto_(config.initial_rto),
       rto_timer_(sim) {
+  assert(config_.mss <= kPatternPeriod);  // one payload_view per segment
   cwnd_ = config_.mss * config_.initial_cwnd_segments;
   ssthresh_ = 0x7FFFFFFF;
 }
@@ -92,12 +125,11 @@ void TcpConnection::send_segment(std::uint32_t seq_wire, std::uint32_t len,
       h.ack = rcv_nxt_;
     }
   }
-  std::vector<std::uint8_t> payload(len);
+  // The payload is a view into the static pattern table; the sink copies
+  // it once, into the frame buffer.
+  std::span<const std::uint8_t> payload;
   if (len > 0) {
-    const std::uint64_t base = offset_of(seq_wire);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      payload[i] = payload_byte(base + i);
-    }
+    payload = payload_view(offset_of(seq_wire), len);
     h.flags.psh = true;
   }
 
@@ -330,20 +362,16 @@ void TcpConnection::deliver_in_order(std::uint32_t seq_wire,
     }
     if (seq_wire == rcv_nxt_) {
       // In-order: verify the deterministic pattern and deliver.
-      for (std::size_t i = 0; i < payload.size(); ++i) {
-        if (payload[i] != payload_byte(bytes_delivered_ + i)) {
-          payload_corruption_ = true;
-        }
+      if (!payload_matches(bytes_delivered_, payload)) {
+        payload_corruption_ = true;
       }
       bytes_delivered_ += payload.size();
       rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
       // Drain contiguous out-of-order segments.
       auto it = ooo_.find(rcv_nxt_);
       while (it != ooo_.end()) {
-        for (std::size_t i = 0; i < it->second.size(); ++i) {
-          if (it->second[i] != payload_byte(bytes_delivered_ + i)) {
-            payload_corruption_ = true;
-          }
+        if (!payload_matches(bytes_delivered_, it->second)) {
+          payload_corruption_ = true;
         }
         bytes_delivered_ += it->second.size();
         rcv_nxt_ += static_cast<std::uint32_t>(it->second.size());

@@ -6,12 +6,16 @@
 // duplicate ACKs, RTT estimation (RFC 6298) with RTO_min = 200 ms and
 // exponential backoff, FIN teardown, and payload integrity checking (each
 // payload byte is a deterministic function of its sequence number, so the
-// receiver verifies content without a retransmission buffer).
+// receiver verifies content without a retransmission buffer). The pattern
+// repeats every 2^15 bytes, so a static table serves it: a sent segment is
+// a view into the table (copied once, into the frame), a received one is
+// checked with memcmp.
 //
 // Not implemented (not needed for the paper's experiments): window
 // scaling, SACK, delayed ACKs, Nagle, TIME_WAIT, simultaneous open.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -125,9 +129,24 @@ class TcpConnection {
   }
 
   /// The deterministic payload byte for absolute stream offset `offset`.
-  [[nodiscard]] static std::uint8_t payload_byte(std::uint64_t offset) {
+  /// It depends only on `offset mod kPatternPeriod`: the product reads
+  /// bits 0..7 of the offset and the shift bits 7..14.
+  [[nodiscard]] static constexpr std::uint8_t payload_byte(
+      std::uint64_t offset) {
     return static_cast<std::uint8_t>((offset * 131) ^ (offset >> 7));
   }
+  static constexpr std::size_t kPatternPeriod = std::size_t{1} << 15;
+
+  /// Stream bytes [offset, offset + len) as a view into the static pattern
+  /// table (two periods long, so any `len <= kPatternPeriod` is one
+  /// contiguous view).
+  [[nodiscard]] static std::span<const std::uint8_t> payload_view(
+      std::uint64_t offset, std::size_t len);
+
+  /// True when `bytes` equal the stream bytes starting at `offset`; any
+  /// length, compared a period at a time with memcmp.
+  [[nodiscard]] static bool payload_matches(
+      std::uint64_t offset, std::span<const std::uint8_t> bytes);
 
   /// Checkpoint: full protocol state (send/receive windows, congestion
   /// control, RTT estimator, out-of-order store, pending RTO timer). The

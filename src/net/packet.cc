@@ -29,6 +29,7 @@ void add_into(ParseStats& into, const ParseStats& from) {
   into.meta_hits += from.meta_hits;
   into.meta_attaches += from.meta_attaches;
   into.rewrite_copies += from.rewrite_copies;
+  into.rewrite_in_place += from.rewrite_in_place;
 }
 
 struct TlsStats {
@@ -296,7 +297,7 @@ std::vector<std::uint8_t> rewrite_arp_mac(std::span<const std::uint8_t> frame,
 }
 
 // ---------------------------------------------------------------------------
-// Parse-once metadata and the single-copy rewrite fast path
+// Parse-once metadata and the copy-on-write rewrite
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -339,9 +340,46 @@ void patch_mac(sim::FrameBytes& bytes, std::size_t offset, MacAddress mac) {
   std::copy(raw.begin(), raw.end(),
             bytes.begin() + static_cast<std::ptrdiff_t>(offset));
 }
+
+void patch_bytes(sim::FrameBytes& bytes, const FrameRewrite& rw) {
+  if (rw.eth_dst.has_value()) patch_mac(bytes, 0, *rw.eth_dst);
+  if (rw.eth_src.has_value()) patch_mac(bytes, MacAddress::kSize, *rw.eth_src);
+  // ARP layout after the Ethernet header: 8 fixed bytes, then SHA(6)
+  // SPA(4) THA(6) TPA(4).
+  if (rw.arp_sender_mac.has_value()) {
+    patch_mac(bytes, kArpMacBase, *rw.arp_sender_mac);
+  }
+  if (rw.arp_target_mac.has_value()) {
+    patch_mac(bytes, kArpMacBase + 6 + 4, *rw.arp_target_mac);
+  }
+}
+
+void patch_parsed(ParsedFrame& p, const FrameRewrite& rw) {
+  if (rw.eth_dst.has_value()) p.eth.dst = *rw.eth_dst;
+  if (rw.eth_src.has_value()) p.eth.src = *rw.eth_src;
+  if (p.arp.has_value()) {
+    if (rw.arp_sender_mac.has_value()) p.arp->sender_mac = *rw.arp_sender_mac;
+    if (rw.arp_target_mac.has_value()) p.arp->target_mac = *rw.arp_target_mac;
+  }
+}
 }  // namespace
 
 sim::FramePtr rewrite_frame(const sim::FramePtr& in, const FrameRewrite& rw) {
+  if (sim::Frame* own = sim::exclusive_frame(in)) {
+    // Sole owner: patch the header fields where they lie, as switch
+    // hardware does. The buffer does not move, so a cached summary's
+    // payload view stays valid; only its MAC fields need the patch.
+    ++tls_stats().rewrite_in_place;
+    patch_bytes(own->bytes, rw);
+    if (void* meta = own->mutable_meta()) {
+      patch_parsed(*static_cast<ParsedFrame*>(meta), rw);
+    } else {
+      own->attach_meta(alloc_parsed(parse_frame(frame_span(in))),
+                       parsed_frame_deleter);  // sole owner: no race
+    }
+    return in;
+  }
+
   ++tls_stats().rewrite_copies;
   auto out = sim::alloc_frame();
   out->bytes = sim::acquire_frame_bytes();
@@ -352,19 +390,7 @@ sim::FramePtr rewrite_frame(const sim::FramePtr& in, const FrameRewrite& rw) {
   if (const std::uint64_t id = in->trace_id(); id != 0) {
     out->adopt_trace_id(id);
   }
-
-  if (rw.eth_dst.has_value()) patch_mac(out->bytes, 0, *rw.eth_dst);
-  if (rw.eth_src.has_value()) {
-    patch_mac(out->bytes, MacAddress::kSize, *rw.eth_src);
-  }
-  // ARP layout after the Ethernet header: 8 fixed bytes, then SHA(6)
-  // SPA(4) THA(6) TPA(4).
-  if (rw.arp_sender_mac.has_value()) {
-    patch_mac(out->bytes, kArpMacBase, *rw.arp_sender_mac);
-  }
-  if (rw.arp_target_mac.has_value()) {
-    patch_mac(out->bytes, kArpMacBase + 6 + 4, *rw.arp_target_mac);
-  }
+  patch_bytes(out->bytes, rw);
 
   // Carry the parse across: clone the cached summary with the same
   // patches applied (and the payload view re-anchored into the new
@@ -375,16 +401,7 @@ sim::FramePtr rewrite_frame(const sim::FramePtr& in, const FrameRewrite& rw) {
   ParsedFrame* meta = nullptr;
   if (old != nullptr) {
     meta = alloc_parsed(ParsedFrame(*old));
-    if (rw.eth_dst.has_value()) meta->eth.dst = *rw.eth_dst;
-    if (rw.eth_src.has_value()) meta->eth.src = *rw.eth_src;
-    if (meta->arp.has_value()) {
-      if (rw.arp_sender_mac.has_value()) {
-        meta->arp->sender_mac = *rw.arp_sender_mac;
-      }
-      if (rw.arp_target_mac.has_value()) {
-        meta->arp->target_mac = *rw.arp_target_mac;
-      }
-    }
+    patch_parsed(*meta, rw);
     if (!meta->payload.empty()) {
       const auto offset = static_cast<std::size_t>(meta->payload.data() -
                                                    in->bytes.data());

@@ -11,8 +11,9 @@
 // cached summary for free. The attach is an atomic publish, so shard
 // workers may race on a multicast replica: one parse wins, the rest adopt
 // it. `rewrite_frame` performs the PMAC<->AMAC header
-// rewriting edge switches do (paper §3.2) as ONE buffer copy with in-place
-// patches, carrying the parse metadata across so downstream hops never
+// rewriting edge switches do (paper §3.2) copy-on-write: a frame the caller
+// solely owns is patched in place, a shared one is copied once; either way
+// the parse metadata is patched to match so downstream hops never
 // re-parse. `parse_stats()` counts parses vs. cache hits so benches and
 // tests can prove the per-hop parse count is zero at steady state.
 //
@@ -82,7 +83,8 @@ struct ParseStats {
   std::uint64_t parse_calls = 0;    // full buffer walks (parse_frame)
   std::uint64_t meta_hits = 0;      // parsed_of served from cache
   std::uint64_t meta_attaches = 0;  // parsed_of had to parse + attach
-  std::uint64_t rewrite_copies = 0; // rewrite_frame buffer copies
+  std::uint64_t rewrite_copies = 0;    // rewrite_frame buffer copies
+  std::uint64_t rewrite_in_place = 0;  // rewrite_frame in-place patches
 };
 [[nodiscard]] ParseStats parse_stats();
 
@@ -96,10 +98,17 @@ struct FrameRewrite {
   std::optional<MacAddress> arp_target_mac;
 };
 
-/// Applies all requested header patches as a single buffer copy, and
-/// carries the cached parse metadata (patched to match) to the new frame —
-/// the edge rewrite no longer costs one whole-frame copy per patched
-/// field, and downstream hops still skip the parse.
+/// Applies all requested header patches, copy-on-write:
+/// - `in` solely owned (sim::exclusive_frame): the MACs are patched in the
+///   buffer and in the cached parse, and `in` itself is returned. The
+///   caller's `in` and any `parsed_of(in)` reference it holds now show the
+///   rewritten frame; the payload view stays valid (the buffer does not
+///   move). Counted in ParseStats::rewrite_in_place.
+/// - `in` shared (a replica, a tapped or pending frame): one buffer copy
+///   carrying the trace id and a patched clone of the cached parse; the
+///   other owners' bytes are untouched. Counted in rewrite_copies.
+/// A caller that still needs the old bytes afterwards must hold a second
+/// reference across the call, which forces the copy.
 [[nodiscard]] sim::FramePtr rewrite_frame(const sim::FramePtr& in,
                                           const FrameRewrite& rw);
 

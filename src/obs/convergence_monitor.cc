@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/canonical_merge.h"
+
 namespace portland::obs {
 
 namespace {
@@ -245,28 +247,18 @@ void ConvergenceMonitor::loop_erase(ShardState& s, std::uint64_t trace_id) {
 }
 
 void ConvergenceMonitor::advance() {
-  // Drain every shard buffer, then process in canonical
-  // (time, shard, seq) order — the same total order for any worker count.
-  struct Tagged {
-    Event e;
-    std::uint32_t shard = 0;
-  };
-  std::vector<Tagged> drained;
-  std::size_t total = 0;
-  for (const ShardState& s : shards_) total += s.events.size();
-  if (total == 0) return;
-  drained.reserve(total);
-  for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-    for (const Event& e : shards_[i].events) drained.push_back({e, i});
-    shards_[i].events.clear();  // capacity retained for the next window
-  }
-  std::sort(drained.begin(), drained.end(),
-            [](const Tagged& x, const Tagged& y) {
-              if (x.e.time != y.e.time) return x.e.time < y.e.time;
-              if (x.shard != y.shard) return x.shard < y.shard;
-              return x.e.seq < y.e.seq;
-            });
-  for (const Tagged& t : drained) process(t.e);
+  // Process every shard buffer in canonical (time, shard, seq) order —
+  // the same total order for any worker count — by merging the per-shard
+  // runs in place, then empty them (capacity retained for the next
+  // window).
+  merge_canonical(
+      static_cast<std::uint32_t>(shards_.size()),
+      [this](std::uint32_t s) -> std::vector<Event>& {
+        return shards_[s].events;
+      },
+      [](const Event& e) { return e.time; },
+      [this](const Event& e, std::uint32_t) { process(e); });
+  for (ShardState& s : shards_) s.events.clear();
 }
 
 void ConvergenceMonitor::process(const Event& e) {

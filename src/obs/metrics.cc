@@ -66,7 +66,8 @@ void append_snapshot_json(std::string* out, const MetricsSnapshot& s) {
   append_u64_field(out, "parse_calls", s.parse.parse_calls);
   append_u64_field(out, "meta_hits", s.parse.meta_hits);
   append_u64_field(out, "meta_attaches", s.parse.meta_attaches);
-  append_u64_field(out, "rewrite_copies", s.parse.rewrite_copies, false);
+  append_u64_field(out, "rewrite_copies", s.parse.rewrite_copies);
+  append_u64_field(out, "rewrite_in_place", s.parse.rewrite_in_place, false);
   out->append("},");
 
   out->append("\"memory\":{");
@@ -181,6 +182,7 @@ std::string MetricsRegistry::render_prometheus() const {
       {"portland_parse_meta_hits", s.parse.meta_hits},
       {"portland_parse_meta_attaches", s.parse.meta_attaches},
       {"portland_parse_rewrite_copies", s.parse.rewrite_copies},
+      {"portland_parse_rewrite_in_place", s.parse.rewrite_in_place},
       {"portland_memory_switch_table_bytes", s.memory.switch_table_bytes},
       {"portland_memory_host_table_bytes", s.memory.host_table_bytes},
       {"portland_memory_fib_bytes", s.memory.fib_bytes},

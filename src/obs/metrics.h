@@ -47,7 +47,8 @@ struct ParseSample {
   std::uint64_t parse_calls = 0;
   std::uint64_t meta_hits = 0;
   std::uint64_t meta_attaches = 0;
-  std::uint64_t rewrite_copies = 0;
+  std::uint64_t rewrite_copies = 0;    // buffer copies (shared frames)
+  std::uint64_t rewrite_in_place = 0;  // sole-owned frames patched in place
 };
 
 /// One device's full CounterSet, flattened.

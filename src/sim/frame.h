@@ -1,10 +1,14 @@
-// Frames: immutable byte buffers travelling over simulated links, plus a
-// parse-once metadata slot.
+// Frames: byte buffers travelling over simulated links, plus a parse-once
+// metadata slot.
 //
 // Frames are reference-counted so a broadcast or multicast replication
-// does not copy payload bytes. Devices never mutate frame *bytes* in
-// place (rewrites, e.g. PortLand's PMAC<->AMAC translation, build a new
-// frame).
+// does not copy payload bytes. The bytes are copy-on-write: a holder may
+// patch a frame in place (PortLand's PMAC<->AMAC header rewrite) only
+// through `exclusive_frame`, which hands out the mutable frame when the
+// holder's reference is the sole owner. A frame anyone else still holds —
+// a multicast or broadcast replica, a frame a tap kept, a queued copy, a
+// pending ARP request — is shared, and its bytes never change under the
+// other owners: a rewrite of it copies.
 //
 // `meta` is a type-erased cache for a header summary: the first device to
 // parse a frame attaches its parse result, and every later hop reads the
@@ -178,6 +182,13 @@ struct Frame {
     return expected;
   }
 
+  /// The attached summary, writable. Only reachable through a
+  /// non-const frame, i.e. one `exclusive_frame` proved sole-owned, so no
+  /// other holder can be reading the summary while it is patched.
+  [[nodiscard]] void* mutable_meta() {
+    return const_cast<void*>(meta_.load(std::memory_order_acquire));
+  }
+
   /// Frees the attached summary, if any. Destructor-only in spirit: not
   /// safe concurrently with attach_meta on other threads.
   void reset_meta() const {
@@ -223,6 +234,23 @@ using FramePtr = std::shared_ptr<const Frame>;
   auto f = alloc_frame();
   f->bytes = std::move(bytes);
   return f;
+}
+
+/// Copy-on-write gate: the mutable frame behind `frame` when the caller's
+/// reference is its only owner, nullptr when the frame is shared (replicas,
+/// taps, queued or pending copies) and must be copied instead of patched.
+///
+/// A bare `use_count() == 1` is a relaxed load: it proves no other owner is
+/// left but does not order the last other owner's reads of the bytes
+/// before our writes. Taking and dropping a probe reference does — both
+/// are acquire-release read-modify-writes on the count, so the drop
+/// synchronizes with every earlier release of it, on any shard thread.
+/// No new owner can appear meanwhile: every other reference is ours.
+[[nodiscard]] inline Frame* exclusive_frame(const FramePtr& frame) {
+  FramePtr probe = frame;
+  const bool sole = probe.use_count() == 2;
+  probe.reset();
+  return sole ? const_cast<Frame*>(frame.get()) : nullptr;
 }
 
 [[nodiscard]] inline std::span<const std::uint8_t> frame_span(

@@ -1,5 +1,6 @@
 // Heap-allocation budgets for the steady-state fabric: proxy-ARP
-// resolution and idle LDP keepalives must not allocate per message.
+// resolution, idle LDP keepalives and TCP bulk segments must not allocate
+// per message.
 //
 // This binary replaces every global operator new (plain, array, nothrow
 // and aligned) with a counting one, so a test can count the heap
@@ -180,6 +181,40 @@ TEST(Alloc, IdleKeepalivesStayWithinBudget) {
               static_cast<unsigned long long>(ldms),
               static_cast<unsigned long long>(allocs), per_ldm);
   EXPECT_LE(per_ldm, 0.1);
+}
+
+TEST(Alloc, TcpBulkSegmentsStayWithinBudget) {
+  auto fabric = make_fabric();
+  host::Host& a = fabric->host_at(0, 0, 0);
+  host::Host& b = fabric->host_at(3, 1, 1);
+  host::TcpConnection* accepted = nullptr;
+  b.tcp_listen(5001, [&accepted](host::TcpConnection& c) { accepted = &c; });
+  host::TcpConnection* conn = a.tcp_connect(b.ip(), 5001);
+  // Warm-up: handshake, ARP, slow start and the frame pools.
+  constexpr std::uint64_t kWarm = 2'000'000;
+  conn->send(kWarm);
+  fabric->sim().run_until(fabric->sim().now() + millis(50));
+  ASSERT_NE(accepted, nullptr);
+  ASSERT_EQ(accepted->bytes_delivered(), kWarm);
+
+  constexpr std::uint64_t kBulk = 10'000'000;
+  const std::uint64_t segments_before = conn->segments_sent();
+  const std::uint64_t alloc_before = allocations();
+  conn->send(kBulk);
+  fabric->sim().run_until(fabric->sim().now() + millis(150));
+  const std::uint64_t allocs = allocations() - alloc_before;
+  const std::uint64_t segments = conn->segments_sent() - segments_before;
+
+  ASSERT_EQ(accepted->bytes_delivered(), kWarm + kBulk);
+  EXPECT_FALSE(accepted->payload_corruption_seen());
+  const double per_segment =
+      static_cast<double>(allocs) / static_cast<double>(segments);
+  std::printf("TCP bulk: %llu data segments, %llu allocations, %.3f each\n",
+              static_cast<unsigned long long>(segments),
+              static_cast<unsigned long long>(allocs), per_segment);
+  // Payload bytes come from a static pattern table straight into the
+  // pooled frame buffer; a per-segment payload buffer would cost 1.0.
+  EXPECT_LE(per_segment, 0.1);
 }
 
 }  // namespace

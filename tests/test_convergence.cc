@@ -13,10 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "obs/canonical_merge.h"
 #include "obs/convergence_monitor.h"
 #include "obs/http_exporter.h"
 
@@ -74,6 +77,102 @@ TEST(FlowKey, ParsesEthernetIpv4Frames) {
   EXPECT_FALSE(parse_flow_key(arp.data(), arp.size()).valid());
   EXPECT_FALSE(parse_flow_key(udp.data(), 20).valid());
   EXPECT_FALSE(parse_flow_key(nullptr, 100).valid());
+}
+
+// advance() replays the per-shard buffers by merging them; the order
+// must equal the full (time, shard, seq) sort it replaced, including for
+// a shard whose appends are not time-ordered.
+TEST(CanonicalMerge, MatchesFullSortWithAnOutOfOrderShard) {
+  struct Ev {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+  };
+  using Key = std::tuple<SimTime, std::uint32_t, std::uint64_t>;
+  constexpr std::uint32_t kShards = 5;
+  std::vector<std::vector<Ev>> runs(kShards);
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    if (s == 3) continue;  // one shard with nothing to drain
+    SimTime t = 0;
+    for (std::uint64_t seq = 0; seq < 400; ++seq) {
+      // Small steps give many equal times, within and across shards.
+      t = s == 1 ? static_cast<SimTime>(next() % 200)  // out of order
+                 : t + static_cast<SimTime>(next() % 3);
+      runs[s].push_back(Ev{t, seq});
+    }
+  }
+  ASSERT_FALSE(std::is_sorted(
+      runs[1].begin(), runs[1].end(),
+      [](const Ev& x, const Ev& y) { return x.time < y.time; }));
+
+  std::vector<Key> expected;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    for (const Ev& e : runs[s]) expected.emplace_back(e.time, s, e.seq);
+  }
+  std::sort(expected.begin(), expected.end());
+
+  std::vector<Key> merged;
+  merge_canonical(
+      kShards, [&runs](std::uint32_t s) -> std::vector<Ev>& { return runs[s]; },
+      [](const Ev& e) { return e.time; },
+      [&merged](const Ev& e, std::uint32_t s) {
+        merged.emplace_back(e.time, s, e.seq);
+      });
+  EXPECT_EQ(merged, expected);
+
+  // A lone out-of-order shard takes the single-run path.
+  std::vector<Ev> lone = {{5, 0}, {2, 1}, {5, 2}, {1, 3}, {2, 4}};
+  std::vector<std::uint64_t> order;
+  merge_canonical(
+      1, [&lone](std::uint32_t) -> std::vector<Ev>& { return lone; },
+      [](const Ev& e) { return e.time; },
+      [&order](const Ev& e, std::uint32_t) { order.push_back(e.seq); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 1, 4, 0, 2}));
+}
+
+// The same failure fed through three shards, one of which appends out of
+// time order, reads exactly like the single-shard in-order feed.
+TEST(ConvergenceMonitor, ShardedFeedMatchesSingleShardFeed) {
+  const auto frame = udp_frame(0x0A000001, 0x0A010002, 7100, 7100);
+  const auto feed = [&frame](ConvergenceMonitor& m, std::uint32_t link,
+                             std::uint32_t fabric, std::uint32_t late) {
+    m.on_link_event(link, millis(1), kEdge, kAgg, /*up=*/false);
+    // `late` appends the recovery before the loss it recovers from.
+    m.on_hop(late, millis(55), kEdge2, HopEvent::kDeliver, 9, frame.data(),
+             frame.size());
+    m.on_drop(late, millis(2), 0, frame.data(), frame.size());
+    m.on_neighbor_event(fabric, millis(51), kEdge, /*lost=*/true);
+    m.on_fault_notify(fabric, millis(52), /*link_up=*/false);
+    m.on_prune_install(fabric, millis(54), kEdge);
+    m.on_link_event(link, millis(100), kEdge, kAgg, /*up=*/true);
+    m.advance();
+  };
+  ConvergenceMonitor sharded(3, {});
+  feed(sharded, 0, 1, 2);
+  ConvergenceMonitor single(1, {});
+  single.on_link_event(0, millis(1), kEdge, kAgg, false);
+  single.on_drop(0, millis(2), 0, frame.data(), frame.size());
+  single.on_neighbor_event(0, millis(51), kEdge, true);
+  single.on_fault_notify(0, millis(52), false);
+  single.on_prune_install(0, millis(54), kEdge);
+  single.on_hop(0, millis(55), kEdge2, HopEvent::kDeliver, 9, frame.data(),
+                frame.size());
+  single.on_link_event(0, millis(100), kEdge, kAgg, true);
+  single.advance();
+
+  std::string a;
+  std::string b;
+  sharded.write_timelines_jsonl(&a);
+  single.write_timelines_jsonl(&b);
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(sharded.completed().size(), 1u);
+  EXPECT_EQ(sharded.completed()[0].recovered, millis(55));
+  ASSERT_EQ(sharded.completed()[0].blackholes.size(), 1u);
+  EXPECT_EQ(sharded.completed()[0].blackholes[0].duration(), millis(53));
 }
 
 TEST(ConvergenceMonitor, SingleFailureTimeline) {

@@ -12,6 +12,7 @@
 #include "core/fabric.h"
 #include "core/path_audit.h"
 #include "host/apps.h"
+#include "net/igmp.h"
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "sim/simulator.h"
@@ -241,6 +242,106 @@ TEST(Fastpath, PathAuditHoldsWithFibDirectEcmp) {
   for (const std::string& edge : edges) EXPECT_EQ(uplinks.count(edge), 1u);
   for (const auto& [device, ports] : uplinks) {
     EXPECT_EQ(ports.size(), 1u) << device;
+  }
+}
+
+TEST(Fastpath, UnicastEdgeRewritesPatchInPlace) {
+  CrossPodFlow fx(36);
+  const net::ParseStats before = net::parse_stats();
+  const std::uint64_t delivered_before = fx.receiver->packets_received();
+  fx.fabric->sim().run_until(fx.fabric->sim().now() + millis(200));
+  const net::ParseStats after = net::parse_stats();
+  const std::uint64_t delivered =
+      fx.receiver->packets_received() - delivered_before;
+  const std::uint64_t in_place =
+      after.rewrite_in_place - before.rewrite_in_place;
+  const std::uint64_t copies = after.rewrite_copies - before.rewrite_copies;
+
+  ASSERT_GT(delivered, 150u);
+  // Ingress and egress rewrite of every frame, on a frame nobody else
+  // holds: patched where it lies. Copies would only come from shared
+  // frames, and a unicast flow has none.
+  EXPECT_GE(in_place, 2 * delivered);
+  EXPECT_EQ(copies, 0u);
+}
+
+TEST(Fastpath, TappedFramesAreCopiedNeverPatched) {
+  CrossPodFlow fx(37);
+  // The tap keeps every delivered frame alive along with the bytes it had
+  // on arrival; a rewrite that patched a held frame would show up as a
+  // mismatch at the end.
+  std::vector<std::pair<sim::FramePtr, sim::FrameBytes>> held;
+  fx.fabric->network().set_frame_tap(
+      [&held](const sim::Link&, int, const sim::FramePtr& frame) {
+        held.emplace_back(frame, frame->bytes);
+      });
+  const net::ParseStats before = net::parse_stats();
+  fx.fabric->sim().run_until(fx.fabric->sim().now() + millis(100));
+  fx.fabric->network().set_frame_tap({});
+  const net::ParseStats after = net::parse_stats();
+
+  ASSERT_GT(held.size(), 100u);
+  for (const auto& [frame, bytes] : held) EXPECT_EQ(frame->bytes, bytes);
+  // The tap takes its reference before the receiving switch runs, so
+  // every edge rewrite finds the frame shared and copies it.
+  EXPECT_GT(after.rewrite_copies - before.rewrite_copies, 90u);
+  EXPECT_EQ(after.rewrite_in_place, before.rewrite_in_place);
+}
+
+TEST(Fastpath, MulticastReplicasArriveWithTheRightMacs) {
+  PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 38;
+  PortlandFabric fabric(options);
+  ASSERT_TRUE(fabric.run_until_converged());
+  const Ipv4Address group(224, 1, 0, 7);
+  host::Host& sender = fabric.host_at(0, 0, 0);
+  // Receivers on the sender's edge, its pod's other edge and two other
+  // pods: replicas split at the edge, the aggregation and the core.
+  std::vector<host::Host*> receivers = {
+      &fabric.host_at(0, 0, 1), &fabric.host_at(0, 1, 0),
+      &fabric.host_at(1, 0, 1), &fabric.host_at(3, 1, 1)};
+  std::map<std::string, int> delivered;
+  for (host::Host* r : receivers) {
+    r->join_group(group, [&delivered, r](Ipv4Address, std::uint16_t,
+                                         std::uint16_t,
+                                         std::span<const std::uint8_t>) {
+      ++delivered[r->name()];
+    });
+  }
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  // The first datagram grafts the sender's edge into the tree.
+  sender.send_udp_multicast(group, 8000, 8001, {0});
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  delivered.clear();
+
+  const auto sender_pmac = fabric.edge_at(0, 0).pmac_for(sender.mac());
+  ASSERT_TRUE(sender_pmac.has_value());
+  std::map<std::string, int> checked;
+  fabric.network().set_frame_tap([&](const sim::Link& link, int rx_side,
+                                     const sim::FramePtr& frame) {
+    const auto* host = dynamic_cast<const host::Host*>(&link.device(rx_side));
+    if (host == nullptr) return;
+    const net::ParsedFrame& p = net::parsed_of(frame);
+    if (!p.ipv4.has_value() || p.ipv4->dst != group) return;
+    ++checked[host->name()];
+    EXPECT_EQ(p.eth.dst, net::multicast_mac(group)) << host->name();
+    EXPECT_EQ(p.eth.src, sender_pmac->to_mac()) << host->name();
+    EXPECT_EQ(net::parse_frame(sim::frame_span(frame)).eth.src,
+              sender_pmac->to_mac())
+        << host->name();
+  });
+  constexpr int kBurst = 10;
+  for (int i = 0; i < kBurst; ++i) {
+    sender.send_udp_multicast(group, 8000, 8001,
+                              {static_cast<std::uint8_t>(i)});
+  }
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  fabric.network().set_frame_tap({});
+
+  for (const host::Host* r : receivers) {
+    EXPECT_EQ(delivered[r->name()], kBurst) << r->name();
+    EXPECT_EQ(checked[r->name()], kBurst) << r->name();
   }
 }
 

@@ -314,6 +314,94 @@ TEST(Packet, RewriteArpMacs) {
   EXPECT_EQ(p3.arp->sender_mac, pmac);  // untouched
 }
 
+TEST(Packet, RewriteFramePatchesSoleOwnerInPlace) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6};
+  const sim::FramePtr frame = sim::make_frame(
+      build_udp_frame(kMacA, kMacB, kIpA, kIpB, 7000, 7001, payload));
+  const ParsedFrame& parsed = parsed_of(frame);
+  const std::uint8_t* buffer = frame->data();
+  const std::span<const std::uint8_t> payload_view = parsed.payload;
+  const MacAddress pmac_src = MacAddress::from_u64(0x000100020001);
+  const MacAddress pmac_dst = MacAddress::from_u64(0x000300010002);
+
+  const ParseStats before = parse_stats();
+  FrameRewrite rw;
+  rw.eth_src = pmac_src;
+  rw.eth_dst = pmac_dst;
+  const sim::FramePtr out = rewrite_frame(frame, rw);
+  const ParseStats after = parse_stats();
+
+  EXPECT_EQ(out.get(), frame.get());  // the same frame, not a copy
+  EXPECT_EQ(out->data(), buffer);     // the buffer did not move
+  EXPECT_EQ(after.rewrite_in_place - before.rewrite_in_place, 1u);
+  EXPECT_EQ(after.rewrite_copies, before.rewrite_copies);
+  EXPECT_EQ(after.parse_calls, before.parse_calls);  // patched, not reparsed
+
+  // Bytes, cached parse and payload view all show the rewrite.
+  const ParsedFrame fresh = parse_frame(sim::frame_span(out));
+  EXPECT_EQ(fresh.eth.src, pmac_src);
+  EXPECT_EQ(fresh.eth.dst, pmac_dst);
+  EXPECT_EQ(&parsed_of(out), &parsed);
+  EXPECT_EQ(parsed.eth.src, pmac_src);
+  EXPECT_EQ(parsed.eth.dst, pmac_dst);
+  EXPECT_EQ(parsed.flow_hash, fresh.flow_hash);
+  EXPECT_EQ(parsed.payload.data(), payload_view.data());
+  ASSERT_EQ(parsed.payload.size(), payload.size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         parsed.payload.begin()));
+}
+
+TEST(Packet, RewriteFrameInPlaceParsesAnUncachedFrameOnce) {
+  const sim::FramePtr frame = sim::make_frame(build_arp_frame(
+      MacAddress::broadcast(), kMacA, ArpMessage::request(kMacA, kIpA, kIpB)));
+  const MacAddress pmac = MacAddress::from_u64(0x000100020001);
+  FrameRewrite rw;
+  rw.eth_src = pmac;
+  rw.arp_sender_mac = pmac;
+  const sim::FramePtr out = rewrite_frame(frame, rw);
+  ASSERT_EQ(out.get(), frame.get());
+  const ParsedFrame& p = parsed_of(out);  // attached by the rewrite
+  ASSERT_TRUE(p.arp.has_value());
+  EXPECT_EQ(p.eth.src, pmac);
+  EXPECT_EQ(p.arp->sender_mac, pmac);
+  EXPECT_EQ(parse_frame(sim::frame_span(out)).arp->sender_mac, pmac);
+}
+
+TEST(Packet, RewriteFrameCopiesASharedFrame) {
+  const std::vector<std::uint8_t> payload = {9, 8, 7, 6};
+  const sim::FramePtr frame = sim::make_frame(
+      build_udp_frame(kMacA, kMacB, kIpA, kIpB, 7000, 7001, payload));
+  const sim::FramePtr second = frame;  // e.g. a replica or a tap's copy
+  const ParsedFrame& parsed = parsed_of(frame);
+  frame->adopt_trace_id(42);
+  const sim::FrameBytes original = frame->bytes;
+  const MacAddress pmac = MacAddress::from_u64(0x000100020001);
+
+  const ParseStats before = parse_stats();
+  FrameRewrite rw;
+  rw.eth_src = pmac;
+  const sim::FramePtr out = rewrite_frame(frame, rw);
+  const ParseStats after = parse_stats();
+
+  ASSERT_NE(out.get(), frame.get());
+  EXPECT_EQ(after.rewrite_copies - before.rewrite_copies, 1u);
+  EXPECT_EQ(after.rewrite_in_place, before.rewrite_in_place);
+  // The other owners' frame is untouched, bytes and parse alike.
+  EXPECT_EQ(frame->bytes, original);
+  EXPECT_EQ(parsed.eth.src, kMacB);
+  // The copy carries the rewrite, the trace id, and a patched parse whose
+  // payload view points into the copy's own buffer.
+  EXPECT_EQ(parse_frame(sim::frame_span(out)).eth.src, pmac);
+  EXPECT_EQ(out->trace_id(), 42u);
+  const ParsedFrame& copied = parsed_of(out);
+  EXPECT_EQ(copied.eth.src, pmac);
+  EXPECT_GE(copied.payload.data(), out->data());
+  EXPECT_LE(copied.payload.data() + copied.payload.size(),
+            out->data() + out->size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         copied.payload.begin()));
+}
+
 TEST(Packet, RawIpv4Builder) {
   const std::vector<std::uint8_t> payload = {9, 9, 9};
   const auto frame =

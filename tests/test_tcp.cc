@@ -187,6 +187,117 @@ TEST(Tcp, DeliverCallbackMonotone) {
   EXPECT_EQ(totals.back(), 100'000u);
 }
 
+TEST(Tcp, PatternTableEqualsPayloadByte) {
+  constexpr std::uint64_t kPeriod = TcpConnection::kPatternPeriod;
+  // Offsets around several period wraps, and far into a long stream.
+  const std::uint64_t offsets[] = {0,           1,           kPeriod - 1,
+                                   kPeriod,     kPeriod + 7, 3 * kPeriod - 5,
+                                   5 * kPeriod, (std::uint64_t{1} << 40) + 12345};
+  for (const std::uint64_t offset : offsets) {
+    for (const std::size_t len : {std::size_t{1}, std::size_t{1400},
+                                  std::size_t{kPeriod}}) {
+      const auto view = TcpConnection::payload_view(offset, len);
+      ASSERT_EQ(view.size(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(view[i], TcpConnection::payload_byte(offset + i))
+            << "offset " << offset << " + " << i;
+      }
+    }
+    // payload_matches takes any length: up to 64 KiB spans two periods.
+    for (const std::size_t len : {std::size_t{0}, std::size_t{1460},
+                                  std::size_t{kPeriod + 1}, std::size_t{65536}}) {
+      std::vector<std::uint8_t> bytes(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        bytes[i] = TcpConnection::payload_byte(offset + i);
+      }
+      EXPECT_TRUE(TcpConnection::payload_matches(offset, bytes))
+          << "offset " << offset << " len " << len;
+      if (len == 0) continue;
+      for (const std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+        bytes[at] ^= 0x01;
+        EXPECT_FALSE(TcpConnection::payload_matches(offset, bytes))
+            << "offset " << offset << " len " << len << " flip " << at;
+        bytes[at] ^= 0x01;
+      }
+    }
+  }
+}
+
+/// Two connections wired back to back with no network: each side's
+/// segments are captured, so a test can deliver them in any order and
+/// with any byte changed.
+struct WiredPair {
+  struct Segment {
+    net::TcpHeader header;
+    std::vector<std::uint8_t> payload;
+  };
+  sim::Simulator sim;
+  std::vector<Segment> to_server;
+  std::vector<Segment> to_client;
+  TcpConnection client{sim, TcpEndpointKey{kIpB, 5001, 40000}, TcpConfig{},
+                       [this](const net::TcpHeader& h,
+                              std::span<const std::uint8_t> p) {
+                         to_server.push_back({h, {p.begin(), p.end()}});
+                       },
+                       1000};
+  TcpConnection server{sim, TcpEndpointKey{kIpA, 40000, 5001}, TcpConfig{},
+                       [this](const net::TcpHeader& h,
+                              std::span<const std::uint8_t> p) {
+                         to_client.push_back({h, {p.begin(), p.end()}});
+                       },
+                       9000};
+
+  /// Handshake, then `segments` full-MSS data segments from the client,
+  /// left undelivered in to_server.
+  explicit WiredPair(std::size_t segments) {
+    client.connect();
+    server.accept_syn(to_server.at(0).header);
+    client.handle_segment(to_client.at(0).header, {});  // SYN|ACK
+    server.handle_segment(to_server.at(1).header, {});  // completing ACK
+    to_server.clear();
+    client.send(segments * TcpConfig{}.mss);
+    EXPECT_EQ(to_server.size(), segments);
+  }
+  void deliver(std::size_t i) {
+    server.handle_segment(to_server.at(i).header, to_server.at(i).payload);
+  }
+};
+
+TEST(Tcp, CorruptedByteIsCaughtOnTheInOrderPath) {
+  WiredPair clean(2);
+  clean.deliver(0);
+  clean.deliver(1);
+  EXPECT_EQ(clean.server.bytes_delivered(), 2u * TcpConfig{}.mss);
+  EXPECT_FALSE(clean.server.payload_corruption_seen());
+
+  WiredPair fx(2);
+  fx.to_server[1].payload[700] ^= 0x40;
+  fx.deliver(0);
+  EXPECT_FALSE(fx.server.payload_corruption_seen());
+  fx.deliver(1);
+  EXPECT_EQ(fx.server.bytes_delivered(), 2u * TcpConfig{}.mss);
+  EXPECT_TRUE(fx.server.payload_corruption_seen());
+}
+
+TEST(Tcp, CorruptedByteIsCaughtOnTheOutOfOrderDrain) {
+  WiredPair clean(3);
+  clean.deliver(2);
+  clean.deliver(1);
+  clean.deliver(0);  // drains the two stashed segments
+  EXPECT_EQ(clean.server.out_of_order_segments(), 2u);
+  EXPECT_EQ(clean.server.bytes_delivered(), 3u * TcpConfig{}.mss);
+  EXPECT_FALSE(clean.server.payload_corruption_seen());
+
+  WiredPair fx(3);
+  fx.to_server[2].payload.back() ^= 0x01;
+  fx.deliver(2);
+  fx.deliver(1);
+  EXPECT_FALSE(fx.server.payload_corruption_seen());  // only stashed yet
+  fx.deliver(0);
+  EXPECT_EQ(fx.server.bytes_delivered(), 3u * TcpConfig{}.mss);
+  EXPECT_TRUE(fx.server.payload_corruption_seen());
+}
+
 TEST(Tcp, PayloadPatternIsDeterministic) {
   EXPECT_EQ(TcpConnection::payload_byte(0), TcpConnection::payload_byte(0));
   // Not constant.

@@ -1,11 +1,13 @@
 // E17 — observability overhead: what does the flight recorder cost the
 // data plane?
 //
-// The same all-to-all UDP workload as E14 runs three times on identical
+// The same all-to-all UDP workload as E14 runs four times on identical
 // fabrics (same k, same seed, same flows):
-//   off     no recorder, no tracer — the plain data plane;
-//   frames  flight recorder attached (per-hop records into shard rings);
-//   full    recorder + engine tracer + a metrics snapshot every 50 ms.
+//   off      no recorder, no tracer — the plain data plane;
+//   monitor  convergence monitor + loop check, no hop rings (the
+//            recorder only hands out trace ids and counts drops);
+//   frames   flight recorder attached (per-hop records into shard rings);
+//   full     recorder + engine tracer + a metrics snapshot every 50 ms.
 // Each mode reports median frames/sec over `--reps` repetitions plus its
 // slowdown relative to `off`. The acceptance bar lives in EXPERIMENTS.md
 // (E17): recorder-off must be within noise of the pre-observability
@@ -18,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -66,10 +69,11 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-enum class Mode { kOff, kFrames, kFull };
+enum class Mode { kOff, kMonitor, kFrames, kFull };
 
 constexpr const char* mode_name(Mode m) {
-  return m == Mode::kOff ? "off" : m == Mode::kFrames ? "frames" : "full";
+  constexpr const char* kNames[] = {"off", "monitor", "frames", "full"};
+  return kNames[static_cast<int>(m)];
 }
 
 struct ModeResult {
@@ -87,8 +91,10 @@ ModeResult run_once(const Args& args, Mode mode) {
   core::PortlandFabric::Options options;
   options.k = args.k;
   options.seed = 17;
-  options.obs.flight_recorder = mode != Mode::kOff;
+  options.obs.flight_recorder = mode == Mode::kFrames || mode == Mode::kFull;
   options.obs.engine_trace = mode == Mode::kFull;
+  options.obs.convergence_monitor = mode == Mode::kMonitor;
+  options.obs.check_invariants = mode == Mode::kMonitor;
   core::PortlandFabric fabric(options);
   if (!fabric.run_until_converged()) {
     std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", args.k);
@@ -153,11 +159,13 @@ ModeResult run_once(const Args& args, Mode mode) {
 
 void run(const Args& args) {
   print_header("E17: observability overhead (k=" + std::to_string(args.k) +
-               " fat tree, recorder off/frames/full)");
+               " fat tree, recorder off/monitor/frames/full)");
 
-  constexpr Mode kModes[] = {Mode::kOff, Mode::kFrames, Mode::kFull};
-  ModeResult results[3];
-  for (std::size_t m = 0; m < 3; ++m) {
+  constexpr Mode kModes[] = {Mode::kOff, Mode::kMonitor, Mode::kFrames,
+                             Mode::kFull};
+  constexpr std::size_t kModeCount = std::size(kModes);
+  ModeResult results[kModeCount];
+  for (std::size_t m = 0; m < kModeCount; ++m) {
     std::vector<double> fps;
     fps.reserve(args.reps);
     for (std::size_t rep = 0; rep < args.reps; ++rep) {
@@ -170,7 +178,7 @@ void run(const Args& args) {
   const double base = results[0].frames_per_sec;
   std::printf("%-8s %14s %10s %14s %12s %8s %10s\n", "mode", "frames/sec",
               "overhead", "hop records", "traced", "spans", "snapshots");
-  for (std::size_t m = 0; m < 3; ++m) {
+  for (std::size_t m = 0; m < kModeCount; ++m) {
     const ModeResult& r = results[m];
     const double overhead =
         base > 0.0 ? (base / r.frames_per_sec - 1.0) * 100.0 : 0.0;
@@ -187,7 +195,7 @@ void run(const Args& args) {
     report.add("reps", static_cast<std::uint64_t>(args.reps));
     report.add("measure_ms",
                static_cast<std::uint64_t>(args.measure / 1000000));
-    for (std::size_t m = 0; m < 3; ++m) {
+    for (std::size_t m = 0; m < kModeCount; ++m) {
       const ModeResult& r = results[m];
       const std::string p = mode_name(kModes[m]);
       report.add(p + "_frames_per_sec", r.frames_per_sec);

@@ -22,4 +22,4 @@ echo "################  test_soak / parallel soak (TSan)  ################"
 # TSAN_OPTIONS halt_on_error makes a race fail the script, not just log.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/test_soak" \
-  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.ChaosSoakMatchesGoldenDigest:Soak.FlightRecorderIsInvisibleToExecution:Soak.BurstModeIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant'
+  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.ChaosSoakMatchesGoldenDigest:Soak.FlightRecorderIsInvisibleToExecution:Soak.BurstModeIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant:Soak.MonitorIsIndependentOfRings'

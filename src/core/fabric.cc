@@ -55,12 +55,13 @@ PortlandFabric::PortlandFabric(Options options)
     net_.sim().set_workers(options_.workers);
   }
 
-  // The convergence monitor derives per-flow blackhole windows from the
-  // flight recorder's hop/drop streams, so asking for it implies tracing.
-  if (options_.obs.convergence_monitor) options_.obs.flight_recorder = true;
-  if (options_.obs.flight_recorder) {
+  // The convergence monitor needs trace ids (loop check), the drop log
+  // and the hop/drop feed, which a recorder provides; it never reads the
+  // hop rings, so a monitor-only fabric gets a ring-less recorder.
+  if (options_.obs.flight_recorder || options_.obs.convergence_monitor) {
     obs::FlightRecorder::Options ro;
-    ro.ring_capacity = options_.obs.ring_capacity;
+    ro.ring_capacity =
+        options_.obs.flight_recorder ? options_.obs.ring_capacity : 0;
     ro.max_traced_frames = options_.obs.trace_frames;
     // LDP keepalives dominate frame counts but carry no tenant traffic;
     // keep them out of traces so rings hold the interesting hops.

@@ -80,17 +80,20 @@ class PortlandFabric {
     /// Observability. Everything here is passive: enabling any of it
     /// cannot change the event schedule (Soak pins this).
     struct ObsOptions {
-      /// Attach a FlightRecorder to every device (per-hop frame tracing).
+      /// Attach a FlightRecorder with per-shard hop rings to every device
+      /// (per-hop frame tracing).
       bool flight_recorder = false;
       /// Per-shard cap on distinct traced frames; 0 = unlimited.
       std::uint64_t trace_frames = 0;
-      /// Per-shard hop-ring capacity.
+      /// Per-shard hop-ring capacity (used when flight_recorder is set).
       std::size_t ring_capacity = 4096;
       /// Attach an EngineTracer (wall-clock window/dispatch profiling).
       bool engine_trace = false;
       /// Attach a ConvergenceMonitor (per-failure reaction timelines).
-      /// Implies flight_recorder: the monitor derives blackhole windows
-      /// from the recorder's hop/drop streams.
+      /// The monitor needs trace ids and the hop/drop feed, not hop
+      /// rings: without flight_recorder the fabric attaches a ring-less
+      /// recorder (trace ids, drop log and drop counts; merged() stays
+      /// empty and records_captured() reads 0).
       bool convergence_monitor = false;
       /// Streaming loop-freedom checking inside the monitor (costs
       /// per-ingress table work; only meaningful with the monitor on).
@@ -153,7 +156,9 @@ class PortlandFabric {
   [[nodiscard]] PortlandSwitch::TableBytes total_table_bytes() const;
 
   // --- observability -------------------------------------------------------
-  /// The attached flight recorder, or nullptr when Options::obs left it off.
+  /// The attached flight recorder: with hop rings under
+  /// Options::obs.flight_recorder, ring-less when only the convergence
+  /// monitor asked for it, nullptr when neither is on.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() const {
     return recorder_.get();
   }

@@ -58,7 +58,7 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
 void PortlandSwitch::drop(obs::DropReason reason, const sim::FramePtr& frame,
                           sim::PortId port) {
   ++*drop_cells_[static_cast<std::size_t>(reason)];
-  if (flight_recorder() != nullptr) record_drop(reason, frame, port);
+  record_drop(reason, frame, port);
 }
 
 // Note: the destructor intentionally does not touch the control plane —
@@ -135,9 +135,7 @@ void PortlandSwitch::handle_frame(sim::PortId in_port,
   const bool host_port = !ldp_.has_neighbor(in_port);
   if (host_port) ldp_.note_host_traffic(in_port);
 
-  if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kIngress, frame, in_port, frame->size());
-  }
+  record_hop(obs::HopEvent::kIngress, frame, in_port, frame->size());
 
   if (!parsed.valid) {
     drop(obs::DropReason::kMalformed, frame, in_port);
@@ -209,11 +207,15 @@ void PortlandSwitch::handle_host_ingress(sim::PortId port,
   // now show the PMAC source too. Nothing below reads the source from it.
   net::FrameRewrite rw;
   rw.eth_src = host->pmac.to_mac();
-  const auto rewritten = net::rewrite_frame(frame, rw);
-  if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kIngressRewrite, rewritten, port,
-               host->pmac.to_mac().to_u64());
-  }
+  sim::FramePtr copy = net::rewrite_frame(frame, rw);
+  // Patched in place: forward `frame` itself and hold no second
+  // reference, or a same-edge delivery would find the frame shared at
+  // the egress rewrite and copy it. `parsed` lives in the frame (or, for
+  // a copy, in the original the caller still holds), so it stays valid.
+  if (copy == frame) copy.reset();
+  const sim::FramePtr& rewritten = copy != nullptr ? copy : frame;
+  record_hop(obs::HopEvent::kIngressRewrite, rewritten, port,
+             host->pmac.to_mac().to_u64());
 
   if (parsed.eth.dst.is_broadcast()) {
     counters().add("host_broadcasts");
@@ -350,9 +352,7 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
           ? spray_counter_++
           : parsed.flow_hash;
   const sim::PortId port = (*candidates)[pick % candidates->size()];
-  if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kEcmpChoice, frame, port, candidates->size());
-  }
+  record_hop(obs::HopEvent::kEcmpChoice, frame, port, candidates->size());
   return port;
 }
 
@@ -409,10 +409,8 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
                 ? fib.down_by_position[pmac.position]
                 : -1;
         if (p >= 0) {
-          if (flight_recorder() != nullptr) {
-            record_hop(obs::HopEvent::kFibLookup, frame,
-                       static_cast<sim::PortId>(p), pmac.position);
-          }
+          record_hop(obs::HopEvent::kFibLookup, frame,
+                     static_cast<sim::PortId>(p), pmac.position);
           send(static_cast<sim::PortId>(p), frame);
           return;
         }
@@ -432,10 +430,8 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
       const std::int32_t p =
           pmac.pod < fib.down_by_pod.size() ? fib.down_by_pod[pmac.pod] : -1;
       if (p >= 0) {
-        if (flight_recorder() != nullptr) {
-          record_hop(obs::HopEvent::kFibLookup, frame,
-                     static_cast<sim::PortId>(p), pmac.pod);
-        }
+        record_hop(obs::HopEvent::kFibLookup, frame,
+                   static_cast<sim::PortId>(p), pmac.pod);
         send(static_cast<sim::PortId>(p), frame);
         return;
       }
@@ -458,10 +454,8 @@ void PortlandSwitch::deliver_to_local_host(const HostEntry& entry,
   rw.eth_dst = entry.amac;
   if (parsed.arp.has_value()) rw.arp_target_mac = entry.amac;
   const auto rewritten = net::rewrite_frame(frame, rw);
-  if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kEgressRewrite, rewritten, entry.port,
-               entry.amac.to_u64());
-  }
+  record_hop(obs::HopEvent::kEgressRewrite, rewritten, entry.port,
+             entry.amac.to_u64());
   send(entry.port, rewritten);
 }
 

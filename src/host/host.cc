@@ -101,9 +101,7 @@ void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
     counters().add("rx_malformed");
     return;
   }
-  if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kDeliver, frame, in_port, frame->size());
-  }
+  record_hop(obs::HopEvent::kDeliver, frame, in_port, frame->size());
   // A broadcast can loop back to its sender through the fabric's
   // down-phase; hosts ignore their own frames.
   if (parsed.eth.src == mac_) return;

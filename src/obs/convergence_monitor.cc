@@ -104,7 +104,8 @@ ConvergenceMonitor::ConvergenceMonitor(std::size_t shard_count,
                                           kLoopProbeWindow));
   if (options_.check_invariants) {
     for (ShardState& s : shards_) {
-      s.loop_table.resize(options_.loop_table_capacity);
+      s.loop_keys.resize(options_.loop_table_capacity);
+      s.loop_paths.resize(options_.loop_table_capacity);
     }
   }
 }
@@ -199,29 +200,32 @@ void ConvergenceMonitor::on_drop(std::uint32_t shard, SimTime t,
 void ConvergenceMonitor::loop_visit(ShardState& s, SimTime t,
                                     const char* device,
                                     std::uint64_t trace_id) {
-  const std::size_t mask = s.loop_table.size() - 1;
+  const std::size_t mask = s.loop_keys.size() - 1;
   const std::size_t start = mix64(trace_id) & mask;
-  LoopSlot* slot = nullptr;
-  LoopSlot* empty = nullptr;
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t slot = kNone;
+  std::size_t empty = kNone;
   for (std::size_t i = 0; i < kLoopProbeWindow; ++i) {
-    LoopSlot& cand = s.loop_table[(start + i) & mask];
-    if (cand.trace_id == trace_id) {
-      slot = &cand;
+    const std::size_t cand = (start + i) & mask;
+    const std::uint64_t key = s.loop_keys[cand];
+    if (key == trace_id) {
+      slot = cand;
       break;
     }
-    if (cand.trace_id == 0 && empty == nullptr) empty = &cand;
+    if (key == 0 && empty == kNone) empty = cand;
   }
-  if (slot == nullptr) {
-    if (empty == nullptr) {
-      empty = &s.loop_table[start];  // deterministic eviction
+  if (slot == kNone) {
+    if (empty == kNone) {
+      empty = start;  // deterministic eviction
       ++s.loop_evictions;
     }
-    *empty = LoopSlot{};
-    empty->trace_id = trace_id;
+    s.loop_keys[empty] = trace_id;
+    s.loop_paths[empty].count = 0;
     slot = empty;
   }
-  for (std::size_t i = 0; i < slot->count; ++i) {
-    if (slot->visited[i] == device) {
+  LoopPath& path = s.loop_paths[slot];
+  for (std::size_t i = 0; i < path.count; ++i) {
+    if (path.visited[i] == device) {
       ++s.violation_total;
       if (s.violations.size() < options_.max_loop_violations) {
         s.violations.push_back(LoopViolation{t, trace_id, device});
@@ -229,18 +233,18 @@ void ConvergenceMonitor::loop_visit(ShardState& s, SimTime t,
       return;
     }
   }
-  if (slot->count < slot->visited.size()) {
-    slot->visited[slot->count++] = device;
+  if (path.count < path.visited.size()) {
+    path.visited[path.count++] = device;
   }
 }
 
 void ConvergenceMonitor::loop_erase(ShardState& s, std::uint64_t trace_id) {
-  const std::size_t mask = s.loop_table.size() - 1;
+  const std::size_t mask = s.loop_keys.size() - 1;
   const std::size_t start = mix64(trace_id) & mask;
   for (std::size_t i = 0; i < kLoopProbeWindow; ++i) {
-    LoopSlot& cand = s.loop_table[(start + i) & mask];
-    if (cand.trace_id == trace_id) {
-      cand = LoopSlot{};
+    std::uint64_t& key = s.loop_keys[(start + i) & mask];
+    if (key == trace_id) {
+      key = 0;
       return;
     }
   }
@@ -421,6 +425,12 @@ std::uint64_t ConvergenceMonitor::loop_violations() const {
   return total;
 }
 
+std::uint64_t ConvergenceMonitor::loop_evictions() const {
+  std::uint64_t total = 0;
+  for (const ShardState& s : shards_) total += s.loop_evictions;
+  return total;
+}
+
 std::vector<LoopViolation> ConvergenceMonitor::loop_violation_details()
     const {
   struct Tagged {
@@ -547,9 +557,7 @@ void ConvergenceMonitor::clear() {
     s.events.clear();
     s.seq = 0;
     s.overflow = 0;
-    if (!s.loop_table.empty()) {
-      std::fill(s.loop_table.begin(), s.loop_table.end(), LoopSlot{});
-    }
+    std::fill(s.loop_keys.begin(), s.loop_keys.end(), 0);
     s.violations.clear();
     s.violation_total = 0;
     s.loop_evictions = 0;

@@ -189,6 +189,9 @@ class ConvergenceMonitor {
   [[nodiscard]] std::uint64_t events_captured() const;
   [[nodiscard]] std::uint64_t events_overflowed() const;
   [[nodiscard]] std::uint64_t loop_violations() const;
+  /// Loop-table inserts that found their probe window full and evicted
+  /// the window's first slot.
+  [[nodiscard]] std::uint64_t loop_evictions() const;
   /// Retained violation details, canonically ordered (bounded per shard).
   [[nodiscard]] std::vector<LoopViolation> loop_violation_details() const;
   /// Blackhole windows on completed timelines that never saw a recovery
@@ -228,12 +231,11 @@ class ConvergenceMonitor {
     FlowKey flow;             // kFlowDrop / kFlowDeliver
   };
 
-  /// Loop-table slot: switches visited by one in-flight trace. The probe
-  /// window is short and slots are overwritten deterministically, so the
-  /// check is best-effort (false negatives possible under eviction,
-  /// never false positives).
-  struct LoopSlot {
-    std::uint64_t trace_id = 0;
+  /// Switches visited by the in-flight trace whose key sits in the same
+  /// loop-table slot. The probe window is short and slots are
+  /// overwritten deterministically, so the check is best-effort (false
+  /// negatives possible under eviction, never false positives).
+  struct LoopPath {
     std::uint8_t count = 0;
     std::array<const char*, 8> visited{};
   };
@@ -243,7 +245,12 @@ class ConvergenceMonitor {
     std::vector<Event> events;
     std::uint64_t seq = 0;       // total appended == next seq
     std::uint64_t overflow = 0;  // events past max_events_per_shard
-    std::vector<LoopSlot> loop_table;
+    /// The loop table, split so a probe scans dense 8-byte trace-id keys
+    /// (0 = empty; an 8-slot window spans one or two cache lines) and
+    /// only a hit or an insert touches the slot's path. A path is reset
+    /// when its key is inserted, so clearing a key frees the slot.
+    std::vector<std::uint64_t> loop_keys;
+    std::vector<LoopPath> loop_paths;
     std::vector<LoopViolation> violations;  // bounded details
     std::uint64_t violation_total = 0;
     std::uint64_t loop_evictions = 0;

@@ -46,12 +46,12 @@ void FlightRecorder::record_drop(std::uint32_t shard, const HopRecord& r) {
   ++log.drop_total;
   ++log.by_reason[static_cast<std::size_t>(r.reason)];
   if (log.drops.size() < options_.drop_log_capacity) {
-    Stamped stamped{r, log.captured};
+    Stamped stamped{r, log.drops.size()};
     stamped.rec.shard = shard;
     stamped.rec.event = HopEvent::kDrop;
     log.drops.push_back(stamped);
   }
-  record(shard, r);
+  if (has_rings()) record(shard, r);
 }
 
 void FlightRecorder::merge_sorted(

@@ -18,6 +18,12 @@
 // per-hop ring overwrites oldest records when full; drops additionally
 // land in a bounded append-only drop log that eviction never touches,
 // so "why did my frame die" survives arbitrarily long runs.
+//
+// A recorder with ring_capacity 0 keeps no hop rings at all: it still
+// hands out trace ids and keeps the drop log and per-reason counts, which
+// is all a ConvergenceMonitor needs. Devices then build no HopRecord for
+// ordinary hops (Device::record_hop), so per-hop tracing costs nothing
+// beyond the monitor's own work.
 #pragma once
 
 #include <array>
@@ -73,7 +79,8 @@ struct HopRecord {
 class FlightRecorder {
  public:
   struct Options {
-    /// Per-shard hop ring capacity (oldest records overwritten).
+    /// Per-shard hop ring capacity (oldest records overwritten); 0 keeps
+    /// no rings (trace ids, drop log and drop counts only).
     std::size_t ring_capacity = 4096;
     /// Per-shard drop-log capacity (append-only, never overwritten;
     /// overflow still counts in totals).
@@ -90,6 +97,9 @@ class FlightRecorder {
 
   [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] std::size_t shard_count() const { return logs_.size(); }
+  /// False for a ring-less recorder (ring_capacity 0): record() is then
+  /// never called and merged() is always empty.
+  [[nodiscard]] bool has_rings() const { return options_.ring_capacity != 0; }
 
   // --- hot path (one writer per shard; see file comment) -----------------
 
@@ -100,11 +110,13 @@ class FlightRecorder {
                                           std::uint16_t ethertype);
 
   /// Appends a hop record to `shard`'s ring (overwrites oldest when full).
+  /// Only for a recorder with rings.
   void record(std::uint32_t shard, const HopRecord& r);
 
-  /// Counts a drop by reason and appends it to both the ring and the
-  /// bounded drop log. Untraced frames (trace_id 0) are recorded too —
-  /// drops matter even when the frame was never sampled.
+  /// Counts a drop by reason and appends it to the bounded drop log and,
+  /// when the recorder has rings, to the ring. Untraced frames (trace_id
+  /// 0) are recorded too — drops matter even when the frame was never
+  /// sampled.
   void record_drop(std::uint32_t shard, const HopRecord& r);
 
   // --- quiescent-only inspection (no window executing) -------------------
@@ -117,6 +129,7 @@ class FlightRecorder {
   [[nodiscard]] std::vector<HopRecord> merged_drops() const;
 
   [[nodiscard]] std::uint64_t traced_frames() const;
+  /// Ring writes (hop and drop records); 0 on a ring-less recorder.
   [[nodiscard]] std::uint64_t records_captured() const;
   [[nodiscard]] std::uint64_t records_evicted() const;
   [[nodiscard]] std::uint64_t drops_recorded() const;
@@ -139,13 +152,14 @@ class FlightRecorder {
  private:
   struct Stamped {
     HopRecord rec;
-    /// Per-shard capture index: the canonical within-shard order.
+    /// Per-shard append index (ring writes for the ring, drop-log index
+    /// for the drop log): the canonical within-shard order.
     std::uint64_t seq = 0;
   };
   /// Padded so neighboring shards' logs never share a cache line.
   struct alignas(64) ShardLog {
     std::vector<Stamped> ring;     // wraps at ring_capacity
-    std::uint64_t captured = 0;    // total record() calls == next seq
+    std::uint64_t captured = 0;    // total ring writes == next seq
     std::uint64_t trace_ids = 0;   // ids handed out by begin_trace
     std::vector<Stamped> drops;    // bounded, append-only
     std::uint64_t drop_total = 0;  // includes overflow past the log cap

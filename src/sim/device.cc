@@ -40,9 +40,7 @@ void Device::send(PortId port, const FramePtr& frame) {
   Link* link = ports_[port].link;
   if (link == nullptr) {
     counters_.add("tx_drop_unconnected");
-    if (recorder_ != nullptr) {
-      record_drop(obs::DropReason::kUnconnectedPort, frame, port);
-    }
+    record_drop(obs::DropReason::kUnconnectedPort, frame, port);
     return;
   }
   link->transmit(ports_[port].side, frame);
@@ -62,29 +60,45 @@ void Device::trace_on_send(const FramePtr& frame) {
   if (id != 0) frame->adopt_trace_id(id);
 }
 
-void Device::record_hop(obs::HopEvent event, const FramePtr& frame,
+void Device::set_flight_recorder(obs::FlightRecorder* recorder) {
+  recorder_ = recorder;
+  update_hop_gates();
+}
+
+void Device::set_convergence_monitor(obs::ConvergenceMonitor* monitor) {
+  monitor_ = monitor;
+  update_hop_gates();
+}
+
+void Device::update_hop_gates() {
+  hop_rings_ = recorder_ != nullptr && recorder_->has_rings();
+  // The monitor reads trace ids, which only a recorder hands out.
+  hop_watch_ = hop_rings_ || (recorder_ != nullptr && monitor_ != nullptr);
+}
+
+void Device::report_hop(obs::HopEvent event, const FramePtr& frame,
                         PortId port, std::uint64_t detail) const {
-  if (recorder_ == nullptr) return;
   const std::uint64_t id = frame->trace_id();
   if (id == 0) return;
-  obs::HopRecord r;
-  r.time = sim_->now();
-  r.trace_id = id;
-  r.device = name_.c_str();
-  r.port = static_cast<std::uint32_t>(port);
-  r.event = event;
-  r.detail = detail;
-  recorder_->record(static_cast<std::uint32_t>(shard_), r);
+  const SimTime now = sim_->now();
+  if (hop_rings_) {
+    obs::HopRecord r;
+    r.time = now;
+    r.trace_id = id;
+    r.device = name_.c_str();
+    r.port = static_cast<std::uint32_t>(port);
+    r.event = event;
+    r.detail = detail;
+    recorder_->record(static_cast<std::uint32_t>(shard_), r);
+  }
   if (monitor_ != nullptr) {
-    monitor_->on_hop(static_cast<std::uint32_t>(shard_), r.time,
-                     name_.c_str(), event, id, frame->data(),
-                     frame->size());
+    monitor_->on_hop(static_cast<std::uint32_t>(shard_), now, name_.c_str(),
+                     event, id, frame->data(), frame->size());
   }
 }
 
-void Device::record_drop(obs::DropReason reason, const FramePtr& frame,
+void Device::report_drop(obs::DropReason reason, const FramePtr& frame,
                          PortId port) const {
-  if (recorder_ == nullptr) return;
   obs::HopRecord r;
   r.time = sim_->now();
   r.trace_id = frame != nullptr ? frame->trace_id() : 0;

@@ -14,14 +14,12 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/flight_recorder.h"
 #include "sim/frame.h"
 #include "sim/simulator.h"
 
 namespace portland::obs {
 class ConvergenceMonitor;
-class FlightRecorder;
-enum class HopEvent : std::uint8_t;
-enum class DropReason : std::uint8_t;
 }  // namespace portland::obs
 
 namespace portland::sim {
@@ -101,28 +99,35 @@ class Device {
   [[nodiscard]] std::uint64_t* rx_bytes_cell() { return rx_bytes_; }
 
   // --- flight recorder (nullptr = tracing off, the only hot-path cost) ---
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    recorder_ = recorder;
-  }
+  void set_flight_recorder(obs::FlightRecorder* recorder);
   [[nodiscard]] obs::FlightRecorder* flight_recorder() const {
     return recorder_;
   }
 
-  /// Appends a hop record for `frame` on this device's shard; no-op when
-  /// tracing is off or the frame carries no trace id.
+  /// Reports one hop of `frame` on this device's shard: a HopRecord into
+  /// the recorder's ring when it keeps rings, and ingresses and
+  /// deliveries to the convergence monitor. No-op for untraced frames.
+  /// Callers pass a constant `event`, so with no ring and no monitor
+  /// interest this is one inline branch on a cached flag.
   void record_hop(obs::HopEvent event, const FramePtr& frame, PortId port,
-                  std::uint64_t detail = 0) const;
+                  std::uint64_t detail = 0) const {
+    const bool monitored =
+        event == obs::HopEvent::kIngress || event == obs::HopEvent::kDeliver;
+    if (monitored ? hop_watch_ : hop_rings_) {
+      report_hop(event, frame, port, detail);
+    }
+  }
 
   /// Counts a drop by reason (drops are recorded even for untraced
   /// frames); no-op when tracing is off.
   void record_drop(obs::DropReason reason, const FramePtr& frame,
-                   PortId port = 0) const;
-
-  // --- convergence monitor (nullptr = off; fed from inside record_hop /
-  // record_drop, so it adds no hot-path branch beyond the recorder's) ---
-  void set_convergence_monitor(obs::ConvergenceMonitor* monitor) {
-    monitor_ = monitor;
+                   PortId port = 0) const {
+    if (recorder_ != nullptr) report_drop(reason, frame, port);
   }
+
+  // --- convergence monitor (nullptr = off; fed from record_hop /
+  // record_drop) ---
+  void set_convergence_monitor(obs::ConvergenceMonitor* monitor);
   [[nodiscard]] obs::ConvergenceMonitor* convergence_monitor() const {
     return monitor_;
   }
@@ -131,6 +136,12 @@ class Device {
   /// Assigns `frame` a trace id on first transmit (send() calls this only
   /// when a recorder is attached).
   void trace_on_send(const FramePtr& frame);
+  void report_hop(obs::HopEvent event, const FramePtr& frame, PortId port,
+                  std::uint64_t detail) const;
+  void report_drop(obs::DropReason reason, const FramePtr& frame,
+                   PortId port) const;
+  /// Recomputes the record_hop gates after an attach.
+  void update_hop_gates();
 
   struct PortSlot {
     Link* link = nullptr;
@@ -142,6 +153,11 @@ class Device {
   ShardId shard_ = 0;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::ConvergenceMonitor* monitor_ = nullptr;
+  /// The attached recorder keeps hop rings: every hop event is recorded.
+  bool hop_rings_ = false;
+  /// hop_rings_, or a monitor is attached: ingresses and deliveries are
+  /// reported even without rings.
+  bool hop_watch_ = false;
   std::vector<PortSlot> ports_;
   CounterSet counters_;
   std::uint64_t* tx_frames_ = counters_.handle("tx_frames");

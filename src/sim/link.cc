@@ -41,27 +41,23 @@ SimDuration Link::serialization_time(std::size_t bytes) const {
 }
 
 void Link::transmit(int from_side, const FramePtr& frame) {
-  snap_clean_ = false;  // counters/queue/train all move below
+  mark_dirty();  // counters/queue/train all move below
   Direction& dir = dir_[side_index(from_side)];
   // transmit() always runs on the sender's shard, so the sender's
   // recorder log is safe to write here.
   Device* sender = end_[side_index(from_side)].device;
   if (!dir.up) {
     ++dir.dropped;
-    if (sender->flight_recorder() != nullptr) {
-      sender->record_drop(obs::DropReason::kLinkDown, frame,
-                          end_[side_index(from_side)].port);
-    }
+    sender->record_drop(obs::DropReason::kLinkDown, frame,
+                        end_[side_index(from_side)].port);
     return;
   }
   const SimTime now = sim_->now();
   dir.settle(now);  // lazily credit frames whose serialization finished
   if (dir.queued_bytes + frame->size() > config_.queue_capacity_bytes) {
     ++dir.dropped;  // drop-tail
-    if (sender->flight_recorder() != nullptr) {
-      sender->record_drop(obs::DropReason::kQueueFull, frame,
-                          end_[side_index(from_side)].port);
-    }
+    sender->record_drop(obs::DropReason::kQueueFull, frame,
+                        end_[side_index(from_side)].port);
     return;
   }
 
@@ -74,10 +70,8 @@ void Link::transmit(int from_side, const FramePtr& frame) {
       tx_done, static_cast<std::uint32_t>(frame->size())});
   ++dir.tx_frames;
   dir.tx_bytes += frame->size();
-  if (sender->flight_recorder() != nullptr) {
-    sender->record_hop(obs::HopEvent::kLinkTx, frame,
-                       end_[side_index(from_side)].port, dir.queued_bytes);
-  }
+  sender->record_hop(obs::HopEvent::kLinkTx, frame,
+                     end_[side_index(from_side)].port, dir.queued_bytes);
 
   const std::uint64_t epoch = dir.epoch;
   Device* receiver = end_[side_index(1 - from_side)].device;
@@ -123,7 +117,7 @@ void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
 void Link::deliver_train_entry(void* ctx, int from_side,
                                const TrainEntry& entry) {
   auto* self = static_cast<Link*>(ctx);
-  self->snap_clean_ = false;  // the engine is draining this train's deque
+  self->mark_dirty();  // the engine is draining this train's deque
   Direction& d = self->dir_[side_index(from_side)];
   // Frames in flight when the direction failed are lost — the entry's
   // epoch snapshot makes this check identical to the classic lambda's.
@@ -174,13 +168,13 @@ void Link::save_state(SnapshotWriter& w) {
   w.blob(scratch);
   // The settle above may have drifted the drain bookkeeping off whatever
   // section this link last restored; be conservative.
-  snap_clean_ = false;
+  mark_dirty();
 }
 
 void Link::restore_state(SnapshotReader& r) {
   const std::uint64_t hash = r.u64();
   const std::uint32_t len = r.u32();
-  if (snap_clean_ && hash == snap_hash_) {
+  if (snap_clean_.load(std::memory_order_relaxed) && hash == snap_hash_) {
     // Unchanged since we last restored this exact section (and, by the
     // clean invariant, our trains are empty, so there is nothing to
     // re-anchor): skip it wholesale.
@@ -228,8 +222,8 @@ void Link::restore_state(SnapshotReader& r) {
   snap_hash_ = hash;
   // Only an empty-train link may claim cleanliness: snapshot_clear wipes
   // anchored trains without going through this object.
-  snap_clean_ =
-      train_[0].entries.empty() && train_[1].entries.empty();
+  snap_clean_.store(train_[0].entries.empty() && train_[1].entries.empty(),
+                    std::memory_order_relaxed);
 }
 
 void Link::set_up(bool up) {
@@ -259,7 +253,7 @@ void Link::set_up(bool up) {
 void Link::set_direction_up(int from_side, bool up) {
   Direction& dir = dir_[side_index(from_side)];
   if (dir.up == up) return;
-  snap_clean_ = false;
+  mark_dirty();
   dir.up = up;
   if (!up) {
     ++dir.epoch;  // voids all in-flight frames in this direction

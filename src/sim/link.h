@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -91,7 +92,7 @@ class Link : public DataEventOwner {
   /// drain bookkeeping).
   [[nodiscard]] std::size_t queued_bytes_now(int from_side) {
     Direction& dir = dir_[side_index(from_side)];
-    snap_clean_ = false;  // settling mutates the drain bookkeeping
+    mark_dirty();  // settling mutates the drain bookkeeping
     dir.settle(sim_->now());
     return dir.queued_bytes;
   }
@@ -174,8 +175,12 @@ class Link : public DataEventOwner {
   /// True while this link's state is bit-identical to the section it last
   /// restored (hash below). Every mutation path clears it; restore only
   /// sets it when the restored trains are empty, because snapshot_clear
-  /// wipes anchored trains behind the link's back.
-  bool snap_clean_ = false;
+  /// wipes anchored trains behind the link's back. Atomic because the two
+  /// endpoint shards clear it concurrently in one window (each side
+  /// delivers on its own shard); relaxed is enough, as it is read only
+  /// at quiescence.
+  std::atomic<bool> snap_clean_ = false;
+  void mark_dirty() { snap_clean_.store(false, std::memory_order_relaxed); }
   std::uint64_t snap_hash_ = 0;
 };
 

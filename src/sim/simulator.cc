@@ -375,8 +375,12 @@ void Simulator::spawn_workers() {
   assert(threads_.empty());
   quit_ = false;
   threads_.reserve(workers_ - 1);
+  // No window runs while the pool is being (re)built, so window_gen_ is
+  // stable here; a worker that started from 0 instead would run a stale
+  // window the moment any earlier pool had dispatched one.
+  const std::uint64_t gen = window_gen_;
   for (unsigned w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back([this, w, gen] { worker_loop(w, gen); });
   }
 }
 
@@ -625,8 +629,8 @@ void Simulator::run_shard_window(Shard& sh, ShardId id, SimTime end) {
   g_ctx = saved;
 }
 
-void Simulator::worker_loop(unsigned worker_index) {
-  std::uint64_t seen_gen = 0;
+void Simulator::worker_loop(unsigned worker_index, std::uint64_t start_gen) {
+  std::uint64_t seen_gen = start_gen;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(pool_mutex_);

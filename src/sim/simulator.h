@@ -610,7 +610,9 @@ class Simulator {
   void execute_window();
   void merge_mailboxes();
   void run_due_barrier_tasks(SimTime bound);
-  void worker_loop(unsigned worker_index);
+  /// `start_gen` is window_gen_ at spawn time: a worker wakes only for
+  /// windows dispatched after it exists, never for a previous pool's.
+  void worker_loop(unsigned worker_index, std::uint64_t start_gen);
   void spawn_workers();
   void join_workers();
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -332,6 +333,62 @@ TEST(ConvergenceMonitor, LoopInvariantFlagsRevisits) {
   off.on_hop(0, millis(2), kEdge, HopEvent::kIngress, 7, frame.data(),
              frame.size());
   EXPECT_EQ(off.loop_violations(), 0u);
+}
+
+/// Drives a fixed pseudo-random mix of ingresses, deliveries and drops
+/// over 40 trace ids through a 16-slot loop table, so probe windows
+/// collide, wrap and evict. Returns (violations, evictions, a hash of
+/// the retained violation details).
+std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> run_loop_table_churn() {
+  ConvergenceMonitor::Options opts;
+  opts.check_invariants = true;
+  opts.loop_table_capacity = 16;
+  ConvergenceMonitor monitor(1, opts);
+  const auto frame = udp_frame(0x0A000001, 0x0A010002, 7100, 7100);
+  const char* const devices[] = {kEdge, kAgg, kEdge2, kCore};
+  std::uint64_t x = 88172645463325252ull;  // xorshift64
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t op = next() % 10;
+    const std::uint64_t trace = 1 + next() % 40;
+    const SimTime t = micros(i);
+    if (op < 7) {
+      monitor.on_hop(0, t, devices[next() % 4], HopEvent::kIngress, trace,
+                     frame.data(), frame.size());
+    } else if (op < 9) {
+      monitor.on_hop(0, t, kEdge2, HopEvent::kDeliver, trace, frame.data(),
+                     frame.size());
+    } else {
+      monitor.on_drop(0, t, trace, frame.data(), frame.size());
+    }
+  }
+  std::uint64_t details = 1469598103934665603ull;  // FNV-1a offset basis
+  for (const LoopViolation& v : monitor.loop_violation_details()) {
+    for (const std::uint64_t word :
+         {static_cast<std::uint64_t>(v.time), v.trace_id,
+          static_cast<std::uint64_t>(std::find(std::begin(devices),
+                                               std::end(devices), v.device) -
+                                     std::begin(devices))}) {
+      details = (details ^ word) * 1099511628211ull;
+    }
+  }
+  return {monitor.loop_violations(), monitor.loop_evictions(), details};
+}
+
+// The loop table's probe order, eviction and violation semantics under
+// heavy collision. The expected counts were produced by the
+// array-of-slots table this split key/path layout replaced, fed the same
+// sequence.
+TEST(ConvergenceMonitor, LoopTableEvictsAndFlagsDeterministically) {
+  const auto [violations, evictions, details] = run_loop_table_churn();
+  EXPECT_EQ(violations, 392u);  // past the 64 retained details
+  EXPECT_EQ(evictions, 1241u);
+  EXPECT_EQ(details, 0x8e9e3d28058a94a6ull);
 }
 
 TEST(ConvergenceMonitor, RendersJsonlAndPrometheus) {

@@ -265,6 +265,38 @@ TEST(Fastpath, UnicastEdgeRewritesPatchInPlace) {
   EXPECT_EQ(copies, 0u);
 }
 
+TEST(Fastpath, SameEdgeDeliveryRewritesInPlaceTwice) {
+  PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 39;
+  PortlandFabric fabric(options);
+  ASSERT_TRUE(fabric.run_until_converged());
+  host::Host& src = fabric.host_at(1, 0, 0);
+  host::Host& dst = fabric.host_at(1, 0, 1);  // same edge switch
+  host::UdpFlowReceiver receiver(dst, 7002);
+  host::UdpFlowSender::Config cfg;
+  cfg.dst = dst.ip();
+  cfg.dst_port = 7002;
+  cfg.interval = millis(1);
+  host::UdpFlowSender sender(src, cfg);
+  sender.start();
+  fabric.sim().run_until(fabric.sim().now() + millis(50));  // ARP settles
+
+  const net::ParseStats before = net::parse_stats();
+  const std::uint64_t delivered_before = receiver.packets_received();
+  fabric.sim().run_until(fabric.sim().now() + millis(200));
+  const net::ParseStats after = net::parse_stats();
+  const std::uint64_t delivered =
+      receiver.packets_received() - delivered_before;
+
+  // The edge rewrites the source AMAC->PMAC and then, for its own host,
+  // the destination PMAC->AMAC, on a frame only it holds: both patches
+  // land in place, with no copy between them.
+  EXPECT_EQ(delivered, 200u);
+  EXPECT_EQ(after.rewrite_copies - before.rewrite_copies, 0u);
+  EXPECT_EQ(after.rewrite_in_place - before.rewrite_in_place, 2 * delivered);
+}
+
 TEST(Fastpath, TappedFramesAreCopiedNeverPatched) {
   CrossPodFlow fx(37);
   // The tap keeps every delivered frame alive along with the bytes it had

@@ -115,6 +115,31 @@ TEST(FlightRecorder, ClearKeepsTraceIdCounters) {
   EXPECT_GT(rec.begin_trace(0, 0x0800), first);
 }
 
+TEST(FlightRecorder, RinglessRecorderKeepsIdsAndDropsOnly) {
+  FlightRecorder::Options opt;
+  opt.ring_capacity = 0;
+  FlightRecorder rec(2, opt);
+  EXPECT_FALSE(rec.has_rings());
+  EXPECT_TRUE(FlightRecorder(1, {}).has_rings());
+  EXPECT_EQ(rec.begin_trace(1, 0x0800), (2ull << 40) | 1);
+  // Same-time drops on one shard keep their append order.
+  for (int i = 0; i < 3; ++i) {
+    HopRecord d = hop(100, 10 + i, HopEvent::kDrop);
+    d.reason = DropReason::kQueueFull;
+    rec.record_drop(1, d);
+  }
+  EXPECT_EQ(rec.drops_recorded(), 3u);
+  const auto drops = rec.merged_drops();
+  ASSERT_EQ(drops.size(), 3u);
+  for (std::size_t i = 0; i < drops.size(); ++i) {
+    EXPECT_EQ(drops[i].trace_id, 10 + i);
+    EXPECT_EQ(drops[i].shard, 1u);
+  }
+  EXPECT_EQ(rec.records_captured(), 0u);
+  EXPECT_EQ(rec.records_evicted(), 0u);
+  EXPECT_TRUE(rec.merged().empty());
+}
+
 TEST(DropReason, NamesAndCountersCoverEveryReason) {
   for (std::size_t i = 1; i < kDropReasonCount; ++i) {
     const auto r = static_cast<DropReason>(i);
@@ -340,6 +365,57 @@ TEST(ObsIntegration, FabricTracesRewritesAndDelivery) {
   const std::string text = read_file(path);
   EXPECT_NE(text.find("hop:ingress_rewrite"), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// A fabric that asks only for the convergence monitor gets a ring-less
+// recorder: trace ids and typed drop counts still flow to the monitor,
+// but no hop ring is kept or written.
+TEST(ObsIntegration, MonitorOnlyFabricKeepsNoRings) {
+  core::PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 7;
+  options.obs.convergence_monitor = true;
+  options.obs.check_invariants = true;
+  core::PortlandFabric fabric(options);
+  ASSERT_TRUE(fabric.run_until_converged());
+  EXPECT_FALSE(fabric.options().obs.flight_recorder);
+
+  host::Host& a = fabric.host_at(0, 0, 0);
+  host::Host& b = fabric.host_at(2, 1, 1);
+  host::UdpFlowReceiver rx(b, 7000);
+  host::UdpFlowSender::Config cfg;
+  cfg.dst = b.ip();
+  cfg.src_port = cfg.dst_port = 7000;
+  cfg.interval = millis(1);
+  host::UdpFlowSender tx(a, cfg);
+  tx.start();
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  tx.stop();
+  ASSERT_GT(rx.packets_received(), 50u);
+
+  const FlightRecorder* rec = fabric.flight_recorder();
+  ASSERT_NE(rec, nullptr);
+  ASSERT_NE(fabric.convergence_monitor(), nullptr);
+  EXPECT_FALSE(rec->has_rings());
+  EXPECT_GT(rec->traced_frames(), 0u);
+  EXPECT_EQ(rec->records_captured(), 0u);
+  EXPECT_TRUE(rec->merged().empty());
+
+  // Typed drops are counted as with rings, and match the switch counters.
+  EXPECT_GT(rec->drops_recorded(), 0u);
+  EXPECT_FALSE(rec->merged_drops().empty());
+  std::uint64_t counter_drops = 0;
+  for (const core::PortlandSwitch* sw : fabric.switches()) {
+    counter_drops += sw->counters().get("drop_before_located");
+  }
+  EXPECT_GT(counter_drops, 0u);
+  EXPECT_EQ(rec->drops_by_reason()[static_cast<std::size_t>(
+                DropReason::kBeforeLocated)],
+            counter_drops);
+  // The monitor's hop feed ran: every delivered datagram was reported.
+  EXPECT_GE(fabric.convergence_monitor()->events_captured(),
+            rx.packets_received());
+  EXPECT_EQ(fabric.convergence_monitor()->loop_violations(), 0u);
 }
 
 TEST(ObsIntegration, MetricsSnapshotSeesDevicesAndLinks) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -493,6 +494,83 @@ TEST(Sharded, FailRecoverIsWorkerCountInvariant) {
     EXPECT_EQ(many.dropped, one.dropped) << workers << " workers";
     EXPECT_EQ(many.executed, one.executed) << workers << " workers";
   }
+}
+
+struct RespawnResult {
+  std::uint64_t digest = 0;
+  std::size_t receives = 0;
+  std::uint64_t windows = 0;
+};
+
+/// Four cross-shard echo pairs, one per adjacent shard pair, run in
+/// `chunks` run_until steps; before step i the worker count becomes
+/// `schedule[i % schedule.size()]`. The pooled-window threshold is 0, so
+/// every window with a live pool really goes to the pool. The digest
+/// (sim::content_hash) covers every receive time of every device, then
+/// the executed-event count and the final clock.
+RespawnResult run_respawned_pool(const std::vector<unsigned>& schedule,
+                                 int chunks) {
+  Network net;
+  net.sim().configure_shards(4, micros(1), 11);
+  net.sim().set_parallel_threshold(0);
+  net.sim().set_workers(schedule.front());
+  std::vector<EchoDevice*> devices;
+  for (ShardId s = 0; s < 4; ++s) {
+    auto& a = net.add_device<EchoDevice>("a" + std::to_string(s), 600);
+    auto& b = net.add_device<EchoDevice>("b" + std::to_string(s), 600);
+    a.set_shard(s);
+    b.set_shard((s + 1) % 4);
+    Link::Config cfg;
+    cfg.propagation = micros(5);
+    net.connect(a, 0, b, 0, cfg);
+    devices.push_back(&a);
+    devices.push_back(&b);
+    ShardGuard guard(net.sim(), s);
+    for (int f = 0; f < 3; ++f) {
+      net.sim().at(micros(f), [&a, s, f] {
+        a.send(0, frame_of_size(100 + 50 * s + 10 * f));
+      });
+    }
+  }
+  const SimTime step = micros(500);
+  for (int i = 0; i < chunks; ++i) {
+    net.sim().set_workers(schedule[static_cast<std::size_t>(i) %
+                                   schedule.size()]);
+    net.sim().run_until(step * (i + 1));
+  }
+  net.sim().set_workers(1);
+  net.sim().run();
+
+  RespawnResult result;
+  std::vector<std::uint8_t> buf;
+  SnapshotWriter w(buf);
+  for (const EchoDevice* dev : devices) {
+    w.u64(dev->times.size());
+    for (const SimTime t : dev->times) w.i64(t);
+    result.receives += dev->times.size();
+  }
+  w.u64(net.sim().executed_events());
+  w.i64(net.sim().now());
+  result.digest = content_hash(buf);
+  result.windows = net.sim().windows_executed();
+  return result;
+}
+
+// Regression test: a respawned pool used to start its workers at window
+// generation 0, so after any pooled window they ran a window nobody had
+// dispatched, racing the coordinator on shard state and wrapping the
+// active-worker count (which could hang the next window). Toggling the
+// worker count between run_until calls must end, and must replay a
+// single-worker run exactly.
+TEST(Sharded, RespawnedPoolRunsOnlyDispatchedWindows) {
+  const RespawnResult one = run_respawned_pool({1}, 12);
+  // Every device hears at least its 600 bounces (frames still in flight
+  // when it stops echoing land on top).
+  ASSERT_GE(one.receives, 8u * 600u);
+  EXPECT_GT(one.windows, 100u);
+  const RespawnResult toggled = run_respawned_pool({4, 1, 4, 2}, 12);
+  EXPECT_EQ(toggled.receives, one.receives);
+  EXPECT_EQ(toggled.digest, one.digest);
 }
 
 // --- timing-wheel scheduler edge cases ----------------------------------

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 #include <tuple>
 
 #include "core/fabric.h"
@@ -473,6 +474,40 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   // The monitor-off runs observed nothing.
   EXPECT_EQ(plain1.mon_events, 0u);
   EXPECT_EQ(plain1.mon_timelines, 0u);
+}
+
+// The monitor needs trace ids, the drop log and the hop feed, not the
+// recorder's hop rings. A monitor-only fabric gets a ring-less recorder;
+// the monitor must observe exactly what it observes with rings on, at 1
+// and at 4 workers, and neither run may move an event against the plain
+// run. The ring-less recorder still traces frames and counts drops but
+// writes no ring record.
+TEST(Soak, MonitorIsIndependentOfRings) {
+  const ParallelRunResult plain1 = run_parallel_soak({.workers = 1});
+  for (const unsigned workers : {1u, 4u}) {
+    const ParallelRunResult ringless =
+        run_parallel_soak({.workers = workers, .monitor_on = true});
+    const ParallelRunResult rings = run_parallel_soak(
+        {.workers = workers, .obs_on = true, .monitor_on = true});
+    const std::string label = std::to_string(workers) + " workers";
+
+    expect_same_sim(plain1, ringless, ("ring-less, " + label).c_str());
+    expect_same_sim(plain1, rings, ("rings, " + label).c_str());
+
+    EXPECT_GT(ringless.mon_events, 1000u) << label;
+    EXPECT_GE(ringless.mon_timelines, 3u) << label;
+    EXPECT_EQ(ringless.mon_events, rings.mon_events) << label;
+    EXPECT_EQ(ringless.mon_timelines, rings.mon_timelines) << label;
+    EXPECT_EQ(ringless.mon_loops, rings.mon_loops) << label;
+    EXPECT_EQ(ringless.mon_overflow, rings.mon_overflow) << label;
+
+    EXPECT_GT(ringless.rec_traced, 0u) << label;
+    EXPECT_GT(ringless.rec_drops, 0u) << label;
+    EXPECT_EQ(ringless.rec_captured, 0u) << label;
+    EXPECT_EQ(ringless.rec_traced, rings.rec_traced) << label;
+    EXPECT_EQ(ringless.rec_drops, rings.rec_drops) << label;
+    EXPECT_GT(rings.rec_captured, 10'000u) << label;
+  }
 }
 
 // Burst/train execution is a pure scheduler-side batching optimization:

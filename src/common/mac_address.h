@@ -6,9 +6,12 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 namespace portland {
 
@@ -24,11 +27,17 @@ class MacAddress {
       : bytes_(bytes) {}
 
   /// Builds an address from the low 48 bits of `v` (big-endian layout:
-  /// bits 47..40 become byte 0).
+  /// bits 47..40 become byte 0). Outside constant evaluation this is a
+  /// shift, a byte swap and a 6-byte store.
   [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t v) {
     std::array<std::uint8_t, kSize> b{};
-    for (std::size_t i = 0; i < kSize; ++i) {
-      b[kSize - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
+    if (std::is_constant_evaluated()) {
+      for (std::size_t i = 0; i < kSize; ++i) {
+        b[kSize - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    } else {
+      const std::uint64_t wire = to_big_endian(v << 16);
+      std::memcpy(b.data(), &wire, kSize);
     }
     return MacAddress(b);
   }
@@ -44,10 +53,17 @@ class MacAddress {
   /// Parses "aa:bb:cc:dd:ee:ff"; returns zero() on malformed input.
   [[nodiscard]] static MacAddress parse(const std::string& text);
 
+  /// The address as a 48-bit big-endian integer (byte 0 in bits
+  /// 47..40). Outside constant evaluation: a 6-byte load and a byte swap.
   [[nodiscard]] constexpr std::uint64_t to_u64() const {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < kSize; ++i) v = (v << 8) | bytes_[i];
-    return v;
+    if (std::is_constant_evaluated()) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < kSize; ++i) v = (v << 8) | bytes_[i];
+      return v;
+    }
+    std::uint64_t wire = 0;
+    std::memcpy(&wire, bytes_.data(), kSize);
+    return to_big_endian(wire) >> 16;
   }
 
   [[nodiscard]] constexpr bool is_broadcast() const {
@@ -80,6 +96,15 @@ class MacAddress {
   }
 
  private:
+  /// Host order <-> big-endian (an involution: the same swap both ways).
+  [[nodiscard]] static std::uint64_t to_big_endian(std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      return __builtin_bswap64(v);
+    } else {
+      return v;
+    }
+  }
+
   std::array<std::uint8_t, kSize> bytes_{};
 };
 

@@ -116,7 +116,7 @@ class HostTable {
     w.u32(static_cast<std::uint32_t>(slots_.size()));
     for (const HostEntry& e : slots_) {
       w.u64(e.amac.to_u64());
-      w.u64(e.pmac.to_mac().to_u64());
+      w.u64(e.pmac.to_u64());
       w.u32(e.ip.value());
       w.u64(e.port);
     }
@@ -165,7 +165,7 @@ class HostTable {
 
   [[nodiscard]] std::uint64_t key_of(Kind kind, std::uint32_t slot) const {
     const HostEntry& e = slots_[slot];
-    return kind == kAmac ? e.amac.to_u64() : e.pmac.to_mac().to_u64();
+    return kind == kAmac ? e.amac.to_u64() : e.pmac.to_u64();
   }
   [[nodiscard]] Index::iterator index_lower(Index& idx, Kind kind,
                                             std::uint64_t key) {

@@ -32,11 +32,16 @@ struct Pmac {
   std::uint8_t port = 0;
   std::uint16_t vmid = 0;
 
+  /// The 48-bit address value, built straight from the fields (equals
+  /// `to_mac().to_u64()`).
+  [[nodiscard]] std::uint64_t to_u64() const {
+    return (static_cast<std::uint64_t>(pod) << 32) |
+           (static_cast<std::uint64_t>(position) << 24) |
+           (static_cast<std::uint64_t>(port) << 16) | vmid;
+  }
+
   [[nodiscard]] MacAddress to_mac() const {
-    return MacAddress::from_u64(
-        (static_cast<std::uint64_t>(pod) << 32) |
-        (static_cast<std::uint64_t>(position) << 24) |
-        (static_cast<std::uint64_t>(port) << 16) | vmid);
+    return MacAddress::from_u64(to_u64());
   }
 
   [[nodiscard]] static Pmac from_mac(MacAddress mac) {

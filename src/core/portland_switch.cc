@@ -215,7 +215,7 @@ void PortlandSwitch::handle_host_ingress(sim::PortId port,
   if (copy == frame) copy.reset();
   const sim::FramePtr& rewritten = copy != nullptr ? copy : frame;
   record_hop(obs::HopEvent::kIngressRewrite, rewritten, port,
-             host->pmac.to_mac().to_u64());
+             host->pmac.to_u64());
 
   if (parsed.eth.dst.is_broadcast()) {
     counters().add("host_broadcasts");

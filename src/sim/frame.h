@@ -54,15 +54,12 @@ inline BytePool& byte_pool() {
 constexpr std::size_t kBytePoolMaxBuffers = 1024;
 constexpr std::size_t kBytePoolMaxCapacity = 16 * 1024;
 
-/// Minimal STL allocator over a thread-local freelist of fixed-size
+/// Minimal STL allocator over a thread-local freelist of single-element
 /// blocks. Used via std::allocate_shared so a Frame (or a parse summary)
 /// and its shared_ptr control block come from — and return to — the pool
-/// as one block, and by link trains, whose std::deque allocates its
-/// fixed-size chunks through it. Each pool recycles blocks of the first
-/// element count it is asked for (1 for allocate_shared, the chunk
-/// length for a deque); other counts go straight to the heap. Blocks may
-/// retire on a different thread than they were taken from; each thread's
-/// pool simply absorbs what dies on it.
+/// as one block; requests for any other count go straight to the heap.
+/// Blocks may retire on a different thread than they were taken from;
+/// each thread's pool simply absorbs what dies on it.
 template <typename T>
 struct RecycleAllocator {
   using value_type = T;
@@ -74,7 +71,6 @@ struct RecycleAllocator {
   static constexpr std::size_t kMaxBlocks = 1024;
 
   struct Pool {
-    std::size_t n = 0;  // element count of the recycled blocks
     std::vector<void*> blocks;
     ~Pool() {
       for (void* b : blocks) {
@@ -89,8 +85,7 @@ struct RecycleAllocator {
 
   [[nodiscard]] T* allocate(std::size_t n) {
     Pool& p = pool();
-    if (p.n == 0) p.n = n;
-    if (n == p.n && !p.blocks.empty()) {
+    if (n == 1 && !p.blocks.empty()) {
       void* b = p.blocks.back();
       p.blocks.pop_back();
       return static_cast<T*>(b);
@@ -100,7 +95,7 @@ struct RecycleAllocator {
   }
   void deallocate(T* ptr, std::size_t n) noexcept {
     Pool& p = pool();
-    if (n == p.n && p.blocks.size() < kMaxBlocks) {
+    if (n == 1 && p.blocks.size() < kMaxBlocks) {
       p.blocks.push_back(ptr);
       return;
     }

@@ -16,12 +16,11 @@ Link::Link(Simulator& sim, Device& a, PortId port_a, Device& b, PortId port_b,
   assert(config_.bandwidth_bps > 0);
   a.attach_link(port_a, this, 0);
   b.attach_link(port_b, this, 1);
-  for (int side = 0; side < 2; ++side) {
-    train_[side].ctx = this;
-    train_[side].deliver = &Link::deliver_train_entry;
-    train_[side].from_side = side;
-    train_[side].owner = this;
-    train_[side].owner_kind = static_cast<std::uint32_t>(side);
+  for (std::uint32_t side = 0; side < 2; ++side) {
+    Train& tr = dir_[side].train;
+    tr.deliver = &Link::deliver_train_entry;
+    tr.owner = this;
+    tr.kind = side;
   }
   // Deterministic registration: links are constructed in the same order
   // in any process building the same fabric, so the id this assigns
@@ -66,8 +65,8 @@ void Link::transmit(int from_side, const FramePtr& frame) {
   const SimTime arrival = tx_done + config_.propagation;
   dir.busy_until = tx_done;
   dir.queued_bytes += frame->size();
-  dir.drains.push_back(Direction::PendingDrain{
-      tx_done, static_cast<std::uint32_t>(frame->size())});
+  dir.drains.push_back(
+      PendingDrain{tx_done, static_cast<std::uint32_t>(frame->size())});
   ++dir.tx_frames;
   dir.tx_bytes += frame->size();
   sender->record_hop(obs::HopEvent::kLinkTx, frame,
@@ -83,7 +82,7 @@ void Link::transmit(int from_side, const FramePtr& frame) {
   // would have used, so the two paths schedule identical sequences.
   if (sim_->burst_enabled() &&
       sim_->train_append(receiver->shard(), arrival, epoch, frame,
-                         train_[side_index(from_side)])) {
+                         dir.train)) {
     return;
   }
 
@@ -114,22 +113,22 @@ void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
   receiver->handle_frame(end_[side_index(1 - from_side)].port, frame);
 }
 
-void Link::deliver_train_entry(void* ctx, int from_side,
+void Link::deliver_train_entry(DataEventOwner* owner,
+                               std::uint32_t from_side,
                                const TrainEntry& entry) {
-  auto* self = static_cast<Link*>(ctx);
-  self->mark_dirty();  // the engine is draining this train's deque
-  Direction& d = self->dir_[side_index(from_side)];
+  auto* self = static_cast<Link*>(owner);
+  self->mark_dirty();  // the engine is draining this train
+  Direction& d = self->dir_[from_side];
   // Frames in flight when the direction failed are lost — the entry's
   // epoch snapshot makes this check identical to the classic lambda's.
   if (!d.up || d.epoch != entry.epoch) return;
-  Device* receiver = self->end_[side_index(1 - from_side)].device;
-  ++*receiver->rx_frames_cell();
-  *receiver->rx_bytes_cell() += entry.frame->size();
+  const Endpoint& rx = self->end_[1 - from_side];
+  ++*rx.device->rx_frames_cell();
+  *rx.device->rx_bytes_cell() += entry.frame->size();
   if (self->tap_ != nullptr && *self->tap_) {
-    (*self->tap_)(*self, 1 - from_side, entry.frame);
+    (*self->tap_)(*self, static_cast<int>(1 - from_side), entry.frame);
   }
-  receiver->handle_frame(self->end_[side_index(1 - from_side)].port,
-                         entry.frame);
+  rx.device->handle_frame(rx.port, entry.frame);
 }
 
 void Link::save_state(SnapshotWriter& w) {
@@ -150,14 +149,15 @@ void Link::save_state(SnapshotWriter& w) {
     bw.u64(d.tx_bytes);
     bw.u64(d.dropped);
     bw.u64(d.epoch);
-    bw.u32(static_cast<std::uint32_t>(d.drains.size() - d.drain_head));
-    for (std::size_t i = d.drain_head; i < d.drains.size(); ++i) {
+    bw.u32(static_cast<std::uint32_t>(d.drains.size()));
+    for (std::size_t i = 0; i < d.drains.size(); ++i) {
       bw.i64(d.drains[i].done);
       bw.u32(d.drains[i].bytes);
     }
-    const Train& tr = train_[side_index(side)];
+    const Train& tr = d.train;
     bw.u32(static_cast<std::uint32_t>(tr.entries.size()));
-    for (const TrainEntry& e : tr.entries) {
+    for (std::size_t i = 0; i < tr.entries.size(); ++i) {
+      const TrainEntry& e = tr.entries[i];
       bw.i64(e.time);
       bw.u64(e.seq);
       bw.u64(e.epoch);
@@ -191,14 +191,13 @@ void Link::restore_state(SnapshotReader& r) {
     d.dropped = r.u64();
     d.epoch = r.u64();
     d.drains.clear();
-    d.drain_head = 0;
     const std::uint32_t n_drains = r.count(8 + 4);
     for (std::uint32_t i = 0; i < n_drains && r.ok(); ++i) {
       const SimTime done = r.i64();
       const std::uint32_t bytes = r.u32();
-      d.drains.push_back(Direction::PendingDrain{done, bytes});
+      d.drains.push_back(PendingDrain{done, bytes});
     }
-    Train& tr = train_[side_index(side)];
+    Train& tr = d.train;
     tr.entries.clear();
     tr.scheduled = false;
     // Per entry: time, seq, epoch, frame presence flag.
@@ -222,8 +221,9 @@ void Link::restore_state(SnapshotReader& r) {
   snap_hash_ = hash;
   // Only an empty-train link may claim cleanliness: snapshot_clear wipes
   // anchored trains without going through this object.
-  snap_clean_.store(train_[0].entries.empty() && train_[1].entries.empty(),
-                    std::memory_order_relaxed);
+  snap_clean_.store(
+      dir_[0].train.entries.empty() && dir_[1].train.entries.empty(),
+      std::memory_order_relaxed);
 }
 
 void Link::set_up(bool up) {
@@ -259,7 +259,6 @@ void Link::set_direction_up(int from_side, bool up) {
     ++dir.epoch;  // voids all in-flight frames in this direction
     dir.queued_bytes = 0;
     dir.drains.clear();
-    dir.drain_head = 0;
     dir.busy_until = sim_->now();
   }
 }

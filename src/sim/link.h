@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/units.h"
 #include "sim/device.h"
@@ -105,8 +104,14 @@ class Link : public DataEventOwner {
                           const FramePtr& frame,
                           const FrameBytes& bytes) override;
 
+  /// The in-flight train of one direction (tests and diagnostics;
+  /// quiescent use only — the receiver's shard drains it mid-window).
+  [[nodiscard]] const Train& train(int from_side) const {
+    return dir_[side_index(from_side)].train;
+  }
+
   /// Checkpoint: per-direction transmitter state (up/busy/queue/epoch/
-  /// counters, un-settled drains) plus the in-flight train deques. The
+  /// counters, un-settled drains) plus the in-flight train entries. The
   /// restore re-anchors non-empty trains in the receiver's shard queue at
   /// their exact saved (time, seq).
   ///
@@ -121,35 +126,36 @@ class Link : public DataEventOwner {
     Device* device;
     PortId port;
   };
+  /// Queue-occupancy accounting is drained lazily: each admitted frame
+  /// records when its serialization completes, and the next transmit()
+  /// settles everything already serialized before the drop-tail check.
+  /// `queued_bytes` is only ever read there, so this is equivalent to the
+  /// eager version but costs zero simulator events.
+  struct PendingDrain {
+    SimTime done;
+    std::uint32_t bytes;
+  };
+
+  /// One transmit direction, hot fields first. Everything up to `train`
+  /// belongs to the sender's shard; the train is drained by the
+  /// receiver's. The drain records and the first train entries sit inline
+  /// here, so a steady-state transmit() or delivery touches no heap
+  /// buffer of its own.
   struct Direction {
     bool up = true;
+    std::uint64_t epoch = 0;      // bumped on failure to void in-flight frames
     SimTime busy_until = 0;       // when the transmitter becomes idle
     std::size_t queued_bytes = 0; // bytes admitted but not yet serialized
+    InlineFifo<PendingDrain, 2> drains;
     std::uint64_t tx_frames = 0;
     std::uint64_t tx_bytes = 0;
     std::uint64_t dropped = 0;
-    std::uint64_t epoch = 0;      // bumped on failure to void in-flight frames
-
-    /// Queue-occupancy accounting is drained lazily: each admitted frame
-    /// records when its serialization completes, and the next transmit()
-    /// settles everything already serialized before the drop-tail check.
-    /// `queued_bytes` is only ever read there, so this is equivalent to
-    /// the eager version but costs zero simulator events.
-    struct PendingDrain {
-      SimTime done;
-      std::uint32_t bytes;
-    };
-    std::vector<PendingDrain> drains;
-    std::size_t drain_head = 0;
+    /// The batched in-flight frames of this direction.
+    Train train;
 
     void settle(SimTime now) {
-      while (drain_head < drains.size() && drains[drain_head].done <= now) {
-        queued_bytes -= drains[drain_head].bytes;
-        ++drain_head;
-      }
-      if (drain_head == drains.size()) {
-        drains.clear();  // capacity is retained: no realloc at steady state
-        drain_head = 0;
+      while (!drains.empty() && drains.front().done <= now) {
+        queued_bytes -= drains.pop_front().bytes;
       }
     }
   };
@@ -161,7 +167,8 @@ class Link : public DataEventOwner {
   /// delivery lambda (epoch/up filter, rx counters, tap, handle_frame)
   /// for one train entry. The dispatcher has already set the receiving
   /// shard's clock to the entry's arrival time.
-  static void deliver_train_entry(void* ctx, int from_side,
+  static void deliver_train_entry(DataEventOwner* owner,
+                                  std::uint32_t from_side,
                                   const TrainEntry& entry);
 
   Simulator* sim_;
@@ -169,8 +176,6 @@ class Link : public DataEventOwner {
   const FrameTap* tap_;  // owned by the Network; may point at an empty fn
   std::array<Endpoint, 2> end_;
   std::array<Direction, 2> dir_;
-  /// One train per direction: the batched in-flight frames a->b and b->a.
-  std::array<Train, 2> train_;
 
   /// True while this link's state is bit-identical to the section it last
   /// restored (hash below). Every mutation path clears it; restore only

@@ -185,15 +185,11 @@ void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
                                    const FramePtr& frame) {
   assert(t >= sh.now);
   assert(tr.entries.empty() || t > tr.entries.back().time);
-  TrainEntry e;
-  e.time = t;
   // The entry consumes the shard's next sequence number here — the exact
   // point the classic per-frame path would have consumed it — so burst
   // on/off schedule identical (time, seq) streams.
-  e.seq = sh.next_seq++;
-  e.epoch = epoch;
-  e.frame = frame;
-  tr.entries.push_back(std::move(e));
+  const std::uint64_t seq = sh.next_seq++;
+  tr.entries.push_back(TrainEntry{t, seq, epoch, frame});
   ++sh.live;
   ++sh.train_frames;
   if (!tr.scheduled) {
@@ -201,7 +197,7 @@ void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
     // appended is the front: anchor the node at its (time, seq).
     const std::uint32_t slot = acquire_slot(sh);
     sh.slots[slot].train = &tr;
-    push_node_at(sh, t, tr.entries.back().seq, slot);
+    push_node_at(sh, t, seq, slot);
     tr.scheduled = true;
   }
 }
@@ -220,7 +216,7 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
   const ShardId ctx = context_shard();
   if (ctx != dst && in_window_ && ctx != kNoShard) {
     // Mid-window cross-shard arrival: the destination worker owns the
-    // train's deque right now, so even *peeking* at it would race. Park
+    // train's entries right now, so even *peeking* at it would race. Park
     // the arrival in the (src,dst) mailbox unconditionally; the barrier
     // merge re-checks cap/monotonicity and appends (or falls back)
     // there, in canonical order.
@@ -440,13 +436,11 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     release_slot(sh, payload);
     ++sh.trains_popped;
     for (;;) {
-      assert(!tr->entries.empty());
-      TrainEntry e = std::move(tr->entries.front());
-      tr->entries.pop_front();
+      const TrainEntry e = tr->entries.pop_front();
       --sh.live;
       sh.now = e.time;
       ++sh.executed;
-      tr->deliver(tr->ctx, tr->from_side, e);
+      tr->deliver(tr->owner, tr->kind, e);
       if (tr->entries.empty()) {
         tr->scheduled = false;
         return;
@@ -723,24 +717,12 @@ void Simulator::merge_mailboxes() {
             (tr.entries.empty() || m.time > tr.entries.back().time);
         if (fits) {
           train_append_local(d, tr, m.time, m.epoch, m.frame);
-        } else if (tr.owner != nullptr) {
-          // Cap reached (or a propagation change broke arrival
-          // monotonicity): deliver this one frame classically as a data
-          // event against the train's owner — same semantics as the
-          // thunk below, but serializable if a snapshot catches it.
-          schedule_data_local(d, m.time, tr.owner, tr.owner_kind, m.epoch,
-                              std::move(m.frame), FrameBytes{});
         } else {
-          Train* trp = m.train;
-          schedule_local(d, m.time,
-                         [trp, time = m.time, epoch = m.epoch,
-                          frame = std::move(m.frame)]() mutable {
-                           TrainEntry e;
-                           e.time = time;
-                           e.epoch = epoch;
-                           e.frame = std::move(frame);
-                           trp->deliver(trp->ctx, trp->from_side, e);
-                         });
+          // Cap reached (or a propagation change broke arrival
+          // monotonicity): deliver this one frame as a data event against
+          // the train's owner — the same delivery, one event per frame.
+          schedule_data_local(d, m.time, tr.owner, tr.kind, m.epoch,
+                              std::move(m.frame), FrameBytes{});
         }
         m.frame.reset();
         m.train = nullptr;

@@ -488,7 +488,7 @@ class Simulator {
 
   /// One of four is set: a plain callback, a timer shot, a train node
   /// (the slot anchors the train's wheel presence; the frames live in the
-  /// train's own deque), or a data event (owner + kind/arg/frame/bytes —
+  /// train's own FIFO), or a data event (owner + kind/arg/frame/bytes —
   /// the serializable closure replacement).
   struct EventPayload {
     SmallFn fn;

@@ -5,10 +5,10 @@
 // strictly increasing (serialization on the transmitter orders them), so
 // the scheduler ends up popping, dispatching, and re-inserting thousands
 // of near-identical events. A Train collapses such a run into one
-// scheduler node: the deque holds one entry per frame, each stamped with
+// scheduler node: its FIFO holds one entry per frame, each stamped with
 // the exact (time, seq) the classic engine would have used, and the node
 // sits in the queue at the *front* entry's (time, seq). Dispatch walks
-// the deque, delivering every entry that is strictly earlier than both
+// the FIFO, delivering every entry that is strictly earlier than both
 // the shard's next queued event and the current execution bound; the
 // moment an entry ties or trails another event — or crosses a window
 // boundary — the node is re-pushed at that entry's own (time, seq) and
@@ -16,14 +16,25 @@
 // sequence number, burst mode schedules the *identical* event sequence:
 // same timestamps, same tie order, same traces (Soak pins this).
 //
-// A Train belongs to one link direction and is driven through a plain
-// function pointer + context rather than a per-frame closure, so a train
-// of N frames costs one scheduler insert, one pop, and zero SmallFn
-// constructions instead of N of each.
+// A Train belongs to one link direction and lives inside its Link. It is
+// driven through a plain function pointer rather than a per-frame
+// closure, so a train of N frames costs one scheduler insert, one pop,
+// and zero SmallFn constructions instead of N of each.
+//
+// Storage: most trains hold one or two frames at a time (an LDM every
+// period, a request and its reply), so the entries live in an
+// InlineFifo — a ring whose first slots sit inside the Link object. A
+// longer run (a host's back-to-back burst) spills into a power-of-two
+// block from a bounded thread-local pool, and the block goes back to the
+// pool the moment the train drains: an idle link owns no heap memory.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 #include "common/units.h"
 #include "sim/frame.h"
@@ -31,6 +42,186 @@
 namespace portland::sim {
 
 struct DataEventOwner;
+
+namespace detail {
+
+/// Per-thread freelists of FIFO spill blocks, one list per power-of-two
+/// capacity, threaded through the free blocks themselves. Bounded by
+/// bytes: a release that would push the pool past kMaxBytes frees the
+/// block instead. A block may be taken on one thread and released on
+/// another (a train appended at a window barrier drains on its shard's
+/// worker); each thread's pool absorbs what retires on it.
+template <typename T>
+class SpillPool {
+ public:
+  static constexpr std::size_t kMaxBytes = 1 << 20;
+
+  [[nodiscard]] static T* acquire(std::uint32_t capacity) {
+    if (!dead_) {
+      Local& l = local();
+      FreeBlock*& head = l.heads[class_of(capacity)];
+      if (head != nullptr) {
+        FreeBlock* b = head;
+        head = b->next;
+        l.bytes -= bytes_of(capacity);
+        --l.blocks;
+        return reinterpret_cast<T*>(b);
+      }
+    }
+    return static_cast<T*>(::operator new(bytes_of(capacity)));
+  }
+
+  static void release(T* block, std::uint32_t capacity) noexcept {
+    if (!dead_) {
+      Local& l = local();
+      if (l.bytes + bytes_of(capacity) <= kMaxBytes) {
+        FreeBlock*& head = l.heads[class_of(capacity)];
+        head = ::new (static_cast<void*>(block)) FreeBlock{head};
+        l.bytes += bytes_of(capacity);
+        ++l.blocks;
+        return;
+      }
+    }
+    ::operator delete(static_cast<void*>(block));
+  }
+
+  /// Blocks parked in the calling thread's pool (tests, diagnostics).
+  [[nodiscard]] static std::size_t pooled_blocks() {
+    return dead_ ? 0 : local().blocks;
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  static constexpr int kClasses = 32;
+  static_assert(sizeof(T) >= sizeof(FreeBlock));
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  struct Local {
+    FreeBlock* heads[kClasses] = {};
+    std::size_t bytes = 0;
+    std::size_t blocks = 0;
+    ~Local() {
+      dead_ = true;  // a FIFO destroyed later frees straight to the heap
+      for (FreeBlock* head : heads) {
+        while (head != nullptr) {
+          FreeBlock* next = head->next;
+          ::operator delete(static_cast<void*>(head));
+          head = next;
+        }
+      }
+    }
+  };
+  static Local& local() {
+    thread_local Local l;
+    return l;
+  }
+  static std::size_t bytes_of(std::uint32_t capacity) {
+    return static_cast<std::size_t>(capacity) * sizeof(T);
+  }
+  static int class_of(std::uint32_t capacity) {
+    assert(capacity != 0 && (capacity & (capacity - 1)) == 0);
+    return __builtin_ctz(capacity);
+  }
+  static inline thread_local bool dead_ = false;
+};
+
+}  // namespace detail
+
+/// FIFO ring whose first N slots live inline. Pushing past N moves the
+/// contents into a pooled spill block of twice the capacity (doubling
+/// again whenever it fills); popping the last element hands the block
+/// back to the pool and returns to the inline slots. Not copyable or
+/// movable: the ring may point into its own inline storage.
+template <typename T, std::uint32_t N>
+class InlineFifo {
+  static_assert(N != 0 && (N & (N - 1)) == 0, "N must be a power of two");
+  static_assert(std::is_nothrow_move_constructible_v<T>);
+
+ public:
+  InlineFifo() = default;
+  InlineFifo(const InlineFifo&) = delete;
+  InlineFifo& operator=(const InlineFifo&) = delete;
+  ~InlineFifo() { clear(); }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
+  /// True while the contents live in a pooled block, not inline.
+  [[nodiscard]] bool spilled() const { return data_ != inline_data(); }
+
+  /// The i-th element from the front.
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    assert(i < size_);
+    return data_[(head_ + i) & (cap_ - 1)];
+  }
+  [[nodiscard]] const T& front() const { return (*this)[0]; }
+  [[nodiscard]] const T& back() const { return (*this)[size_ - 1]; }
+
+  void push_back(T&& value) {
+    if (size_ == cap_) grow();
+    ::new (static_cast<void*>(&data_[(head_ + size_) & (cap_ - 1)]))
+        T(std::move(value));
+    ++size_;
+  }
+
+  /// Removes and returns the front element; releases the spill block
+  /// when that empties the ring.
+  [[nodiscard]] T pop_front() {
+    assert(size_ != 0);
+    T& slot = data_[head_];
+    T value = std::move(slot);
+    slot.~T();
+    head_ = (head_ + 1) & (cap_ - 1);
+    if (--size_ == 0) reset();
+    return value;
+  }
+
+  /// Destroys every element and returns to the inline slots.
+  void clear() {
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      data_[(head_ + i) & (cap_ - 1)].~T();
+    }
+    size_ = 0;
+    reset();
+  }
+
+ private:
+  [[nodiscard]] T* inline_data() {
+    return reinterpret_cast<T*>(inline_);
+  }
+  [[nodiscard]] const T* inline_data() const {
+    return reinterpret_cast<const T*>(inline_);
+  }
+
+  void grow() {
+    const std::uint32_t cap = cap_ * 2;
+    T* block = detail::SpillPool<T>::acquire(cap);
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      T& src = data_[(head_ + i) & (cap_ - 1)];
+      ::new (static_cast<void*>(&block[i])) T(std::move(src));
+      src.~T();
+    }
+    if (spilled()) detail::SpillPool<T>::release(data_, cap_);
+    data_ = block;
+    cap_ = cap;
+    head_ = 0;
+  }
+
+  void reset() {
+    if (spilled()) detail::SpillPool<T>::release(data_, cap_);
+    data_ = inline_data();
+    cap_ = N;
+    head_ = 0;
+  }
+
+  T* data_ = inline_data();
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;
+  alignas(T) unsigned char inline_[N * sizeof(T)];
+};
 
 /// One pending frame delivery inside a train. `seq` is the owning
 /// shard's sequence number, consumed at append exactly where the classic
@@ -47,25 +238,22 @@ struct TrainEntry {
 /// A batch of in-flight frames on one link direction. Entries are kept
 /// in strictly increasing arrival-time order (the transmitter's
 /// serialization guarantees it; appends that would violate it fall back
-/// to classic per-frame scheduling). `scheduled` is true while exactly
-/// one scheduler node references this train — always at the front
-/// entry's (time, seq).
+/// to per-frame data events). `scheduled` is true while exactly one
+/// scheduler node references this train — always at the front entry's
+/// (time, seq).
 struct Train {
-  using Deliver = void (*)(void* ctx, int from_side, const TrainEntry& entry);
+  /// Delivers one entry; `owner` and `kind` are the fields below.
+  using Deliver = void (*)(DataEventOwner* owner, std::uint32_t kind,
+                           const TrainEntry& entry);
 
-  void* ctx = nullptr;          // the owning Link
   Deliver deliver = nullptr;
-  int from_side = 0;
-  bool scheduled = false;
-  /// Chunks recycle through a thread-local pool: a train that holds one
-  /// frame at a time (an LDM every period) would otherwise free and
-  /// allocate a deque chunk every few frames.
-  std::deque<TrainEntry, detail::RecycleAllocator<TrainEntry>> entries;
-  /// Serializable identity of `deliver`: when set, per-frame fallbacks
-  /// (mailbox cap/monotonicity misses) schedule a data event against this
-  /// owner instead of an opaque closure, keeping the queue checkpointable.
+  /// Serializable identity of `deliver`: per-frame fallbacks (mailbox
+  /// cap/monotonicity misses) schedule a data event against this owner
+  /// and kind, keeping the queue checkpointable.
   DataEventOwner* owner = nullptr;
-  std::uint32_t owner_kind = 0;
+  std::uint32_t kind = 0;
+  bool scheduled = false;
+  InlineFifo<TrainEntry, 2> entries;
 };
 
 }  // namespace portland::sim

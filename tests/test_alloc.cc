@@ -1,13 +1,15 @@
 // Heap-allocation budgets for the steady-state fabric: proxy-ARP
-// resolution, idle LDP keepalives and TCP bulk segments must not allocate
-// per message.
+// resolution, idle LDP keepalives, TCP bulk segments and host bursts must
+// not allocate per message, and building links must not allocate per
+// link train.
 //
 // This binary replaces every global operator new (plain, array, nothrow
 // and aligned) with a counting one, so a test can count the heap
 // allocations a stretch of simulation makes. Frame buffers, frame
 // blocks, pending-resolution records and control-message encodings are
-// all recycled; what remains is amortized container growth (host ARP
-// caches, link trains).
+// all recycled, and link trains keep their first entries inline and
+// spill into pooled blocks; what remains is amortized container growth
+// (host ARP caches).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,8 +18,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/fabric.h"
+#include "sim/network.h"
 
 namespace {
 
@@ -35,6 +40,11 @@ void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
   const std::size_t size = (n + align - 1) / align * align;
   return std::aligned_alloc(align, size == 0 ? align : size);
 }
+
+// Out of line on purpose: inlined into a std container's deallocate,
+// free() meets GCC's built-in pairing with operator new and trips
+// -Wmismatched-new-delete, although every replaced new here is malloc.
+[[gnu::noinline]] void heap_free(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
@@ -68,29 +78,29 @@ void* operator new[](std::size_t n, std::align_val_t al,
                      const std::nothrow_t&) noexcept {
   return counted_aligned_alloc(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { heap_free(p); }
+void operator delete[](void* p) noexcept { heap_free(p); }
+void operator delete(void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { heap_free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  heap_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { heap_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 
 namespace portland::core {
@@ -215,6 +225,75 @@ TEST(Alloc, TcpBulkSegmentsStayWithinBudget) {
   // Payload bytes come from a static pattern table straight into the
   // pooled frame buffer; a per-segment payload buffer would cost 1.0.
   EXPECT_LE(per_segment, 0.1);
+}
+
+TEST(Alloc, HostBurstThroughFabricAllocatesNothing) {
+  auto fabric = make_fabric();
+  host::Host& a = fabric->host_at(0, 0, 0);
+  host::Host& b = fabric->host_at(3, 1, 1);
+  std::uint64_t received = 0;
+  b.bind_udp(kPort, [&received](Ipv4Address, std::uint16_t, std::uint16_t,
+                                std::span<const std::uint8_t>) {
+    ++received;
+  });
+  static constexpr std::array<std::uint8_t, 16> kPayload{};
+  constexpr std::uint64_t kBurst = 128;
+  const auto burst = [&] {
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      a.send_udp(b.ip(), kPort, kPort,
+                 std::span<const std::uint8_t>(kPayload));
+    }
+    fabric->sim().run_until(fabric->sim().now() + millis(1));
+  };
+  // Warm-up: ARP, flow caches, and the spill blocks a 128-frame train
+  // grows through on each of the five hops.
+  burst();
+  burst();
+  ASSERT_EQ(received, 2 * kBurst);
+
+  const std::uint64_t alloc_before = allocations();
+  burst();
+  const std::uint64_t allocs = allocations() - alloc_before;
+  ASSERT_EQ(received, 3 * kBurst);
+  std::printf("Host burst: %llu frames, %llu allocations\n",
+              static_cast<unsigned long long>(kBurst),
+              static_cast<unsigned long long>(allocs));
+  EXPECT_EQ(allocs, 0u);
+}
+
+class PortDevice : public sim::Device {
+ public:
+  PortDevice(sim::Simulator& sim, std::string name, int ports)
+      : Device(sim, std::move(name)) {
+    add_ports(static_cast<std::size_t>(ports));
+  }
+  void handle_frame(sim::PortId, const sim::FramePtr&) override {}
+};
+
+TEST(Alloc, LinkConstructionAllocatesNoTrainStorage) {
+  constexpr int kLinks = 256;
+  sim::Network net;
+  net.reserve(kLinks + 1, kLinks, (kLinks + 1) * 1024 + kLinks * 1024);
+  auto& hub = net.add_device<PortDevice>("hub", kLinks);
+  std::vector<PortDevice*> leaves;
+  for (int i = 0; i < kLinks; ++i) {
+    leaves.push_back(
+        &net.add_device<PortDevice>("leaf" + std::to_string(i), 1));
+  }
+
+  const std::uint64_t alloc_before = allocations();
+  for (int i = 0; i < kLinks; ++i) {
+    net.connect(hub, static_cast<sim::PortId>(i), *leaves[i], 0);
+  }
+  const std::uint64_t allocs = allocations() - alloc_before;
+  const double per_link =
+      static_cast<double>(allocs) / static_cast<double>(kLinks);
+  std::printf("Link construction: %d links, %llu allocations, %.3f each\n",
+              kLinks, static_cast<unsigned long long>(allocs), per_link);
+  // What remains is the simulator's owner-id registry (one hash node per
+  // link) plus amortized vector growth. A heap-backed train per direction
+  // would add at least two more per link.
+  EXPECT_LE(per_link, 1.1);
 }
 
 }  // namespace

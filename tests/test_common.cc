@@ -1,6 +1,8 @@
 // Unit tests for the common substrate: byte I/O, addresses, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -86,6 +88,22 @@ TEST(MacAddress, ParseRejectsGarbage) {
 TEST(MacAddress, U64RoundTrip) {
   const std::uint64_t v = 0x0123456789ABULL;
   EXPECT_EQ(MacAddress::from_u64(v).to_u64(), v);
+}
+
+// The runtime path (load + byte swap) must agree byte for byte with the
+// constant-evaluated loop, in both directions.
+TEST(MacAddress, U64MatchesBigEndianBytesAtRuntimeAndCompileTime) {
+  constexpr MacAddress kCompiled = MacAddress::from_u64(0xA1B2C3D4E5F6ULL);
+  static_assert(kCompiled.to_u64() == 0xA1B2C3D4E5F6ULL);
+  volatile std::uint64_t input = 0xA1B2C3D4E5F6ULL;  // not a constant
+  const MacAddress runtime = MacAddress::from_u64(input);
+  EXPECT_EQ(runtime, kCompiled);
+  const std::array<std::uint8_t, 6> bytes{0xA1, 0xB2, 0xC3, 0xD4, 0xE5,
+                                          0xF6};
+  EXPECT_EQ(runtime.bytes(), bytes);
+  EXPECT_EQ(runtime.to_u64(), 0xA1B2C3D4E5F6ULL);
+  // Bits above 47 are ignored.
+  EXPECT_EQ(MacAddress::from_u64(0xFFFF'0000'0000'0001ULL).to_u64(), 1u);
 }
 
 TEST(MacAddress, BroadcastAndMulticastBits) {

@@ -26,6 +26,12 @@ TEST(Pmac, MacLayoutMatchesPaper) {
   EXPECT_EQ(p.to_mac().to_string(), "01:02:03:04:05:06");
 }
 
+TEST(Pmac, U64KeyEqualsMacValue) {
+  const Pmac p{.pod = 0x01AB, .position = 0xFE, .port = 0x80, .vmid = 0xFFFF};
+  EXPECT_EQ(p.to_u64(), p.to_mac().to_u64());
+  EXPECT_EQ(p.to_u64(), 0x01ABFE80FFFFULL);
+}
+
 TEST(Pmac, AmacSpaceDisjointFromPmacSpace) {
   for (std::uint32_t i = 1; i < 100; ++i) {
     EXPECT_FALSE(looks_like_pmac(make_amac(i)));

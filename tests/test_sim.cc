@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine: ordering, timers, links.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
+#include "sim/train.h"
 
 namespace portland::sim {
 namespace {
@@ -253,6 +255,266 @@ TEST(Link, UnidirectionalFailure) {
   net.sim().run();
   EXPECT_TRUE(b.frames.empty());
   EXPECT_EQ(a.frames.size(), 1u);
+}
+
+// --- link trains: inline-first entry ring --------------------------------
+
+using EntryPool = detail::SpillPool<TrainEntry>;
+
+// The ring against a std::deque model under a mixed push/pop stream whose
+// head wraps before every growth, so each spill and doubling copies a
+// wrapped ring out in order.
+TEST(LinkTrain, RingKeepsFifoOrderAcrossWrapAndGrowth) {
+  InlineFifo<TrainEntry, 2> ring;
+  std::deque<std::uint64_t> model;
+  Rng rng(7);
+  std::uint64_t next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool push = model.empty() || rng.next_below(100) < 55;
+    if (push) {
+      ring.push_back(TrainEntry{static_cast<SimTime>(next), next, 0,
+                                frame_of_size(1)});
+      model.push_back(next++);
+    } else {
+      const TrainEntry e = ring.pop_front();
+      ASSERT_EQ(e.seq, model.front()) << "step " << step;
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    if (!model.empty()) {
+      ASSERT_EQ(ring.front().seq, model.front());
+      ASSERT_EQ(ring.back().seq, model.back());
+    }
+    // Empty means inline: the block went back the moment the ring drained.
+    if (model.empty()) {
+      ASSERT_FALSE(ring.spilled());
+      ASSERT_EQ(ring.capacity(), 2u);
+    }
+  }
+  EXPECT_GT(next, 10000u);
+}
+
+/// a -> b over a link whose 1 ms propagation keeps a whole burst in
+/// flight at once: 1000-byte frames serialize in 8 us each at 1 Gb/s.
+struct BurstLink {
+  Network net;
+  SinkDevice& a = net.add_device<SinkDevice>("a");
+  SinkDevice& b = net.add_device<SinkDevice>("b");
+  Link& link = connect(net, a, b);
+
+  static Link& connect(Network& net, SinkDevice& a, SinkDevice& b) {
+    Link::Config cfg;
+    cfg.bandwidth_bps = 1e9;
+    cfg.propagation = millis(1);
+    return net.connect(a, 0, b, 0, cfg);
+  }
+  /// At `t`, a sends `n` frames whose sizes (1000 + i) tag their order.
+  void burst_at(SimTime t, int n) {
+    net.sim().at(t, [this, n] {
+      for (int i = 0; i < n; ++i) a.send(0, frame_of_size(1000 + i));
+    });
+  }
+  [[nodiscard]] std::vector<std::size_t> received_sizes() const {
+    std::vector<std::size_t> sizes;
+    for (const FramePtr& f : b.frames) sizes.push_back(f->size());
+    return sizes;
+  }
+};
+
+std::vector<std::size_t> burst_sizes(int n) {
+  std::vector<std::size_t> sizes;
+  for (int i = 0; i < n; ++i) sizes.push_back(1000 + i);
+  return sizes;
+}
+
+TEST(LinkTrain, SpilledTrainDrainsAndReturnsItsBlock) {
+  BurstLink l;
+  l.burst_at(0, 64);
+  l.net.sim().run_until(micros(600));  // all serialized, none arrived
+  const Train& tr = l.link.train(0);
+  ASSERT_EQ(tr.entries.size(), 64u);
+  EXPECT_TRUE(tr.entries.spilled());
+  EXPECT_EQ(tr.entries.capacity(), 64u);
+  EXPECT_TRUE(tr.scheduled);
+  for (std::size_t i = 1; i < tr.entries.size(); ++i) {
+    EXPECT_GT(tr.entries[i].time, tr.entries[i - 1].time);
+    EXPECT_GT(tr.entries[i].seq, tr.entries[i - 1].seq);
+  }
+  // Growth is over; the drain's only pool traffic is the final release.
+  const std::size_t pooled = EntryPool::pooled_blocks();
+
+  l.net.sim().run();
+  EXPECT_EQ(l.received_sizes(), burst_sizes(64));
+  EXPECT_EQ(l.b.times.front(), micros(8) + millis(1));
+  for (std::size_t i = 1; i < l.b.times.size(); ++i) {
+    EXPECT_GT(l.b.times[i], l.b.times[i - 1]);
+  }
+  EXPECT_TRUE(tr.entries.empty());
+  EXPECT_FALSE(tr.entries.spilled());
+  EXPECT_EQ(tr.entries.capacity(), 2u);
+  EXPECT_FALSE(tr.scheduled);
+  EXPECT_EQ(EntryPool::pooled_blocks(), pooled + 1);
+}
+
+TEST(LinkTrain, SnapshotOfSpilledTrainRestoresEveryEntry) {
+  BurstLink l;
+  Simulator& sim = l.net.sim();
+  l.burst_at(0, 40);
+  sim.run_until(micros(400));
+  const Train& tr = l.link.train(0);
+  ASSERT_EQ(tr.entries.size(), 40u);
+  ASSERT_TRUE(tr.entries.spilled());
+  std::vector<TrainEntry> saved;
+  for (std::size_t i = 0; i < tr.entries.size(); ++i) {
+    saved.push_back(tr.entries[i]);
+  }
+  const auto save = [&](std::vector<std::uint8_t>& out) {
+    SnapshotWriter w(out);
+    std::string error;
+    ASSERT_TRUE(sim.save_engine(w, &error)) << error;
+    for (Link* link : l.net.links()) link->save_state(w);
+  };
+  std::vector<std::uint8_t> image;
+  save(image);
+
+  sim.run();
+  const std::vector<std::size_t> sizes = l.received_sizes();
+  const std::vector<SimTime> times = l.b.times;
+  const std::uint64_t executed = sim.executed_events();
+  ASSERT_EQ(sizes, burst_sizes(40));
+
+  std::string error;
+  sim.snapshot_clear();
+  SnapshotReader r(image);
+  ASSERT_TRUE(sim.restore_engine(r, &error)) << error;
+  for (Link* link : l.net.links()) link->restore_state(r);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(sim.finish_restore(&error)) << error;
+
+  // Every entry is back at its (time, seq), in a spilled ring again, and
+  // the restored state re-saves to the same bytes.
+  ASSERT_EQ(tr.entries.size(), saved.size());
+  EXPECT_TRUE(tr.entries.spilled());
+  EXPECT_TRUE(tr.scheduled);
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    EXPECT_EQ(tr.entries[i].time, saved[i].time);
+    EXPECT_EQ(tr.entries[i].seq, saved[i].seq);
+    EXPECT_EQ(tr.entries[i].epoch, saved[i].epoch);
+    EXPECT_EQ(tr.entries[i].frame->bytes, saved[i].frame->bytes);
+  }
+  std::vector<std::uint8_t> again;
+  save(again);
+  EXPECT_EQ(again, image);
+
+  l.b.frames.clear();
+  l.b.times.clear();
+  sim.run();
+  EXPECT_EQ(l.received_sizes(), sizes);
+  EXPECT_EQ(l.b.times, times);
+  EXPECT_EQ(sim.executed_events(), executed);
+  EXPECT_FALSE(tr.entries.spilled());
+}
+
+TEST(LinkTrain, LinkFailureVoidsSpilledTrainByEpoch) {
+  BurstLink l;
+  Simulator& sim = l.net.sim();
+  l.burst_at(0, 48);
+  // Down and back up while the whole burst is in flight: the repair does
+  // not revive it, because every entry carries the pre-failure epoch.
+  sim.at(micros(500), [&l] { l.link.set_up(false); });
+  sim.at(micros(600), [&l] { l.link.set_up(true); });
+  sim.run_until(micros(700));
+  const Train& tr = l.link.train(0);
+  ASSERT_EQ(tr.entries.size(), 48u);
+  EXPECT_TRUE(tr.entries.spilled());
+
+  sim.run();
+  EXPECT_TRUE(l.b.frames.empty());
+  EXPECT_TRUE(tr.entries.empty());
+  EXPECT_FALSE(tr.entries.spilled());
+  EXPECT_EQ(sim.executed_events(), 3u + 48u);  // 3 closures, 48 voided
+
+  // A burst sent after the repair carries the new epoch and arrives.
+  l.burst_at(sim.now(), 48);
+  sim.run();
+  EXPECT_EQ(l.received_sizes(), burst_sizes(48));
+  EXPECT_EQ(l.link.tx_frames(0), 96u);
+}
+
+TEST(LinkTrain, DropTailIsExactAtQueueCapacity) {
+  Network net;
+  auto& a = net.add_device<SinkDevice>("a");
+  auto& b = net.add_device<SinkDevice>("b");
+  Link::Config cfg;
+  cfg.bandwidth_bps = 1e9;  // 1000 bytes serialize in 8 us
+  cfg.propagation = micros(1);
+  cfg.queue_capacity_bytes = 8 * 1000;
+  Link& link = net.connect(a, 0, b, 0, cfg);
+  Simulator& sim = net.sim();
+
+  // Eight 1000-byte frames fill the queue to exactly its capacity (the
+  // drain records spill past their inline slots); the ninth is dropped.
+  sim.at(0, [&] {
+    for (int i = 0; i < 9; ++i) a.send(0, frame_of_size(1000));
+  });
+  // 1 ns before the first frame finishes serializing the queue is still
+  // full; at 8 us exactly its bytes are credited and one more fits.
+  sim.at(micros(8) - 1, [&] { a.send(0, frame_of_size(1000)); });
+  std::size_t queued_at_8us = 0;
+  sim.at(micros(8), [&] {
+    a.send(0, frame_of_size(1000));
+    a.send(0, frame_of_size(1000));
+    queued_at_8us = link.queued_bytes_now(0);
+  });
+  sim.run();
+  EXPECT_EQ(link.dropped_frames(0), 3u);
+  EXPECT_EQ(link.tx_frames(0), 9u);
+  EXPECT_EQ(queued_at_8us, 8000u);
+  ASSERT_EQ(b.times.size(), 9u);
+  for (std::size_t i = 0; i < b.times.size(); ++i) {
+    EXPECT_EQ(b.times[i], static_cast<SimTime>(i + 1) * micros(8) +
+                              micros(1));
+  }
+  EXPECT_EQ(link.queued_bytes_now(0), 0u);
+}
+
+/// Two shards, a -> b cross-shard: bursts parked in the mailbox join b's
+/// train at the window barrier (the coordinator appends, spilling the
+/// ring) and drain on b's shard, so spill blocks retire on another thread
+/// than the one that took them. Records every arrival time.
+std::vector<SimTime> run_cross_shard_bursts(unsigned workers) {
+  Network net;
+  net.sim().configure_shards(2, micros(1), 5);
+  net.sim().set_parallel_threshold(0);
+  net.sim().set_workers(workers);
+  auto& a = net.add_device<SinkDevice>("a");
+  auto& b = net.add_device<SinkDevice>("b");
+  a.set_shard(0);
+  b.set_shard(1);
+  Link::Config cfg;
+  cfg.bandwidth_bps = 100e9;
+  cfg.propagation = micros(5);
+  net.connect(a, 0, b, 0, cfg);
+  {
+    ShardGuard guard(net.sim(), 0);
+    for (int burst = 0; burst < 40; ++burst) {
+      net.sim().at(micros(20) * burst, [&a, burst] {
+        for (int i = 0; i < 32 + burst; ++i) {
+          a.send(0, frame_of_size(64 + burst));
+        }
+      });
+    }
+  }
+  net.sim().run();
+  return b.times;
+}
+
+TEST(LinkTrain, CrossShardSpilledTrainsAreWorkerCountInvariant) {
+  const std::vector<SimTime> one = run_cross_shard_bursts(1);
+  ASSERT_EQ(one.size(), 40u * 32u + 39u * 40u / 2u);
+  for (const unsigned workers : {2u, 4u}) {
+    EXPECT_EQ(run_cross_shard_bursts(workers), one) << workers << " workers";
+  }
 }
 
 TEST(Network, FindDeviceAndLink) {

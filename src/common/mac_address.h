@@ -11,7 +11,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <type_traits>
 
 namespace portland {
 
@@ -27,23 +26,16 @@ class MacAddress {
       : bytes_(bytes) {}
 
   /// Builds an address from the low 48 bits of `v` (big-endian layout:
-  /// bits 47..40 become byte 0). Outside constant evaluation this is a
-  /// shift, a byte swap and a 6-byte store.
-  [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t v) {
-    std::array<std::uint8_t, kSize> b{};
-    if (std::is_constant_evaluated()) {
-      for (std::size_t i = 0; i < kSize; ++i) {
-        b[kSize - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
-      }
-    } else {
-      const std::uint64_t wire = to_big_endian(v << 16);
-      std::memcpy(b.data(), &wire, kSize);
-    }
+  /// bits 47..40 become byte 0): a shift, a byte swap and a 6-byte store.
+  [[nodiscard]] static MacAddress from_u64(std::uint64_t v) {
+    std::array<std::uint8_t, kSize> b;
+    const std::uint64_t wire = to_big_endian(v << 16);
+    std::memcpy(b.data(), &wire, kSize);
     return MacAddress(b);
   }
 
   /// The broadcast address ff:ff:ff:ff:ff:ff.
-  [[nodiscard]] static constexpr MacAddress broadcast() {
+  [[nodiscard]] static MacAddress broadcast() {
     return from_u64(0xFFFF'FFFF'FFFFULL);
   }
 
@@ -54,22 +46,17 @@ class MacAddress {
   [[nodiscard]] static MacAddress parse(const std::string& text);
 
   /// The address as a 48-bit big-endian integer (byte 0 in bits
-  /// 47..40). Outside constant evaluation: a 6-byte load and a byte swap.
-  [[nodiscard]] constexpr std::uint64_t to_u64() const {
-    if (std::is_constant_evaluated()) {
-      std::uint64_t v = 0;
-      for (std::size_t i = 0; i < kSize; ++i) v = (v << 8) | bytes_[i];
-      return v;
-    }
+  /// 47..40): a 6-byte load and a byte swap.
+  [[nodiscard]] std::uint64_t to_u64() const {
     std::uint64_t wire = 0;
     std::memcpy(&wire, bytes_.data(), kSize);
     return to_big_endian(wire) >> 16;
   }
 
-  [[nodiscard]] constexpr bool is_broadcast() const {
+  [[nodiscard]] bool is_broadcast() const {
     return to_u64() == 0xFFFF'FFFF'FFFFULL;
   }
-  [[nodiscard]] constexpr bool is_zero() const { return to_u64() == 0; }
+  [[nodiscard]] bool is_zero() const { return to_u64() == 0; }
 
   /// IEEE group bit: set for multicast and broadcast destinations.
   [[nodiscard]] constexpr bool is_multicast() const {
@@ -91,7 +78,7 @@ class MacAddress {
   friend constexpr bool operator!=(const MacAddress& a, const MacAddress& b) {
     return !(a == b);
   }
-  friend constexpr bool operator<(const MacAddress& a, const MacAddress& b) {
+  friend bool operator<(const MacAddress& a, const MacAddress& b) {
     return a.to_u64() < b.to_u64();
   }
 

@@ -21,12 +21,16 @@
 //
 // Allocation recycling: frame byte buffers and the Frame+refcount blocks
 // themselves cycle through thread-local freelists (`acquire_frame_bytes`,
-// the pooling allocator behind `make_frame`), so steady-state forwarding
-// performs no heap allocation per frame. Thread-local pools need no locks
-// and keep the event schedule — and therefore determinism — untouched.
+// the BlockPool behind `make_frame`), so steady-state forwarding performs
+// no heap allocation per frame when frames are built and retired on the
+// same thread. (In the sharded engine a frame built on one worker and
+// retired on another lands in the second thread's pool, and the first
+// allocates afresh.) Thread-local pools need no locks and keep the event
+// schedule — and therefore determinism — untouched.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,12 +58,95 @@ inline BytePool& byte_pool() {
 constexpr std::size_t kBytePoolMaxBuffers = 1024;
 constexpr std::size_t kBytePoolMaxCapacity = 16 * 1024;
 
-/// Minimal STL allocator over a thread-local freelist of single-element
-/// blocks. Used via std::allocate_shared so a Frame (or a parse summary)
-/// and its shared_ptr control block come from — and return to — the pool
-/// as one block; requests for any other count go straight to the heap.
-/// Blocks may retire on a different thread than they were taken from;
-/// each thread's pool simply absorbs what dies on it.
+/// Per-thread freelists of recycled memory blocks holding `n` objects of
+/// type T, one list per power-of-two `n`, threaded through the free
+/// blocks themselves. It backs both single-object blocks (a Frame and its
+/// refcount, a parse summary) and the spill blocks of InlineFifo
+/// (sim/train.h). Bounded by bytes: a release that would push the
+/// calling thread's pool past kMaxBytes frees the block instead, and a
+/// count that is not a power of two always goes to the heap. A block may
+/// be taken on one thread and released on another (a frame built on one
+/// shard dies on the next; a train appended at a window barrier drains
+/// on its shard's worker); each thread's pool absorbs what retires on it.
+/// Once a thread's pool is destroyed, later releases on that thread go
+/// straight to the heap.
+template <typename T>
+class BlockPool {
+ public:
+  static constexpr std::size_t kMaxBytes = 1 << 20;
+
+  [[nodiscard]] static T* acquire(std::size_t n) {
+    if (pooled(n)) {
+      Local& l = local();
+      FreeBlock*& head = l.heads[class_of(n)];
+      if (head != nullptr) {
+        FreeBlock* b = head;
+        head = b->next;
+        l.bytes -= bytes_of(n);
+        --l.blocks;
+        return reinterpret_cast<T*>(b);
+      }
+    }
+    return static_cast<T*>(::operator new(bytes_of(n)));
+  }
+
+  static void release(T* block, std::size_t n) noexcept {
+    if (pooled(n)) {
+      Local& l = local();
+      if (l.bytes + bytes_of(n) <= kMaxBytes) {
+        FreeBlock*& head = l.heads[class_of(n)];
+        head = ::new (static_cast<void*>(block)) FreeBlock{head};
+        l.bytes += bytes_of(n);
+        ++l.blocks;
+        return;
+      }
+    }
+    ::operator delete(static_cast<void*>(block));
+  }
+
+  /// Blocks parked in the calling thread's pool (tests, diagnostics).
+  [[nodiscard]] static std::size_t pooled_blocks() {
+    return dead_ ? 0 : local().blocks;
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  static constexpr int kClasses = 32;
+  static_assert(sizeof(T) >= sizeof(FreeBlock));
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  struct Local {
+    FreeBlock* heads[kClasses] = {};
+    std::size_t bytes = 0;
+    std::size_t blocks = 0;
+    ~Local() {
+      dead_ = true;
+      for (FreeBlock* head : heads) {
+        while (head != nullptr) {
+          FreeBlock* next = head->next;
+          ::operator delete(static_cast<void*>(head));
+          head = next;
+        }
+      }
+    }
+  };
+  static Local& local() {
+    thread_local Local l;
+    return l;
+  }
+  static bool pooled(std::size_t n) {
+    return !dead_ && std::has_single_bit(n) && n < (std::size_t{1} << kClasses);
+  }
+  static std::size_t bytes_of(std::size_t n) { return n * sizeof(T); }
+  static int class_of(std::size_t n) { return std::countr_zero(n); }
+  static inline thread_local bool dead_ = false;
+};
+
+/// Minimal STL allocator over BlockPool. Used via std::allocate_shared
+/// so a Frame (or a parse summary) and its shared_ptr control block come
+/// from — and return to — the pool as one block.
 template <typename T>
 struct RecycleAllocator {
   using value_type = T;
@@ -68,38 +155,11 @@ struct RecycleAllocator {
   template <typename U>
   RecycleAllocator(const RecycleAllocator<U>&) noexcept {}  // NOLINT
 
-  static constexpr std::size_t kMaxBlocks = 1024;
-
-  struct Pool {
-    std::vector<void*> blocks;
-    ~Pool() {
-      for (void* b : blocks) {
-        ::operator delete(b, std::align_val_t(alignof(T)));
-      }
-    }
-  };
-  static Pool& pool() {
-    thread_local Pool p;
-    return p;
-  }
-
   [[nodiscard]] T* allocate(std::size_t n) {
-    Pool& p = pool();
-    if (n == 1 && !p.blocks.empty()) {
-      void* b = p.blocks.back();
-      p.blocks.pop_back();
-      return static_cast<T*>(b);
-    }
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(alignof(T))));
+    return BlockPool<T>::acquire(n);
   }
   void deallocate(T* ptr, std::size_t n) noexcept {
-    Pool& p = pool();
-    if (n == 1 && p.blocks.size() < kMaxBlocks) {
-      p.blocks.push_back(ptr);
-      return;
-    }
-    ::operator delete(ptr, std::align_val_t(alignof(T)));
+    BlockPool<T>::release(ptr, n);
   }
 
   template <typename U>

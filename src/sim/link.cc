@@ -18,7 +18,6 @@ Link::Link(Simulator& sim, Device& a, PortId port_a, Device& b, PortId port_b,
   b.attach_link(port_b, this, 1);
   for (std::uint32_t side = 0; side < 2; ++side) {
     Train& tr = dir_[side].train;
-    tr.deliver = &Link::deliver_train_entry;
     tr.owner = this;
     tr.kind = side;
   }
@@ -102,33 +101,19 @@ void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
                               const FramePtr& frame,
                               const FrameBytes& bytes) {
   (void)bytes;
+  // No mark_dirty: a frame reaches here only after a transmit() (which
+  // marked the link dirty) or from a restore that saved a non-empty train
+  // (which leaves it dirty), so a clean link never delivers.
   const int from_side = static_cast<int>(kind);
   Direction& d = dir_[side_index(from_side)];
-  // Frames in flight when the direction failed are lost.
+  // Frames in flight when the direction failed are lost: `arg` is the
+  // direction's epoch at transmit time.
   if (!d.up || d.epoch != arg) return;
-  Device* receiver = end_[side_index(1 - from_side)].device;
-  ++*receiver->rx_frames_cell();
-  *receiver->rx_bytes_cell() += frame->size();
-  if (tap_ != nullptr && *tap_) (*tap_)(*this, 1 - from_side, frame);
-  receiver->handle_frame(end_[side_index(1 - from_side)].port, frame);
-}
-
-void Link::deliver_train_entry(DataEventOwner* owner,
-                               std::uint32_t from_side,
-                               const TrainEntry& entry) {
-  auto* self = static_cast<Link*>(owner);
-  self->mark_dirty();  // the engine is draining this train
-  Direction& d = self->dir_[from_side];
-  // Frames in flight when the direction failed are lost — the entry's
-  // epoch snapshot makes this check identical to the classic lambda's.
-  if (!d.up || d.epoch != entry.epoch) return;
-  const Endpoint& rx = self->end_[1 - from_side];
+  const Endpoint& rx = end_[side_index(1 - from_side)];
   ++*rx.device->rx_frames_cell();
-  *rx.device->rx_bytes_cell() += entry.frame->size();
-  if (self->tap_ != nullptr && *self->tap_) {
-    (*self->tap_)(*self, static_cast<int>(1 - from_side), entry.frame);
-  }
-  rx.device->handle_frame(rx.port, entry.frame);
+  *rx.device->rx_bytes_cell() += frame->size();
+  if (tap_ != nullptr && *tap_) (*tap_)(*this, 1 - from_side, frame);
+  rx.device->handle_frame(rx.port, frame);
 }
 
 void Link::save_state(SnapshotWriter& w) {

@@ -96,10 +96,12 @@ class Link : public DataEventOwner {
     return dir.queued_bytes;
   }
 
-  /// Classic (non-burst) frame delivery, dispatched as a serializable
-  /// data event: kind = transmitting side, arg = the direction's failure
-  /// epoch at transmit time. Replays exactly the per-frame delivery
-  /// (epoch/up filter, rx counters, tap, handle_frame).
+  /// Frame delivery, dispatched as a serializable data event: kind =
+  /// transmitting side, arg = the direction's failure epoch at transmit
+  /// time. Runs the epoch/up filter, rx counters, tap and handle_frame.
+  /// Both paths deliver through it: a per-frame data event, and each
+  /// train entry as the engine drains the train (the dispatcher has set
+  /// the receiving shard's clock to the entry's arrival time).
   void execute_data_event(std::uint32_t kind, std::uint64_t arg,
                           const FramePtr& frame,
                           const FrameBytes& bytes) override;
@@ -163,14 +165,6 @@ class Link : public DataEventOwner {
   static std::size_t side_index(int side);
   [[nodiscard]] SimDuration serialization_time(std::size_t bytes) const;
 
-  /// Burst-mode delivery thunk: replays exactly the classic per-frame
-  /// delivery lambda (epoch/up filter, rx counters, tap, handle_frame)
-  /// for one train entry. The dispatcher has already set the receiving
-  /// shard's clock to the entry's arrival time.
-  static void deliver_train_entry(DataEventOwner* owner,
-                                  std::uint32_t from_side,
-                                  const TrainEntry& entry);
-
   Simulator* sim_;
   Config config_;
   const FrameTap* tap_;  // owned by the Network; may point at an empty fn
@@ -178,12 +172,14 @@ class Link : public DataEventOwner {
   std::array<Direction, 2> dir_;
 
   /// True while this link's state is bit-identical to the section it last
-  /// restored (hash below). Every mutation path clears it; restore only
-  /// sets it when the restored trains are empty, because snapshot_clear
-  /// wipes anchored trains behind the link's back. Atomic because the two
-  /// endpoint shards clear it concurrently in one window (each side
-  /// delivers on its own shard); relaxed is enough, as it is read only
-  /// at quiescence.
+  /// restored (hash below). Every sender-side mutation clears it, and
+  /// delivery needs no clear of its own: a train only fills through a
+  /// transmit() or a restore of a non-empty train, both of which leave it
+  /// clear. Restore only sets it when the restored trains are empty,
+  /// because snapshot_clear wipes anchored trains behind the link's back.
+  /// Atomic because the two endpoint shards clear it concurrently in one
+  /// window (each side transmits on its own shard); relaxed is enough, as
+  /// it is read only at quiescence.
   std::atomic<bool> snap_clean_ = false;
   void mark_dirty() { snap_clean_.store(false, std::memory_order_relaxed); }
   std::uint64_t snap_hash_ = 0;

@@ -440,7 +440,7 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
       --sh.live;
       sh.now = e.time;
       ++sh.executed;
-      tr->deliver(tr->owner, tr->kind, e);
+      tr->owner->execute_data_event(tr->kind, e.epoch, e.frame, {});
       if (tr->entries.empty()) {
         tr->scheduled = false;
         return;

@@ -16,17 +16,18 @@
 // sequence number, burst mode schedules the *identical* event sequence:
 // same timestamps, same tie order, same traces (Soak pins this).
 //
-// A Train belongs to one link direction and lives inside its Link. It is
-// driven through a plain function pointer rather than a per-frame
-// closure, so a train of N frames costs one scheduler insert, one pop,
-// and zero SmallFn constructions instead of N of each.
+// A Train belongs to one link direction and lives inside its Link. Its
+// entries are delivered through the owner's data-event hook rather than
+// per-frame closures, so a train of N frames costs one scheduler insert,
+// one pop, and zero SmallFn constructions instead of N of each.
 //
 // Storage: most trains hold one or two frames at a time (an LDM every
 // period, a request and its reply), so the entries live in an
 // InlineFifo — a ring whose first slots sit inside the Link object. A
 // longer run (a host's back-to-back burst) spills into a power-of-two
-// block from a bounded thread-local pool, and the block goes back to the
-// pool the moment the train drains: an idle link owns no heap memory.
+// block from the bounded thread-local detail::BlockPool (sim/frame.h),
+// and the block goes back to the pool the moment the train drains: an
+// idle link owns no heap memory.
 #pragma once
 
 #include <cassert>
@@ -43,96 +44,10 @@ namespace portland::sim {
 
 struct DataEventOwner;
 
-namespace detail {
-
-/// Per-thread freelists of FIFO spill blocks, one list per power-of-two
-/// capacity, threaded through the free blocks themselves. Bounded by
-/// bytes: a release that would push the pool past kMaxBytes frees the
-/// block instead. A block may be taken on one thread and released on
-/// another (a train appended at a window barrier drains on its shard's
-/// worker); each thread's pool absorbs what retires on it.
-template <typename T>
-class SpillPool {
- public:
-  static constexpr std::size_t kMaxBytes = 1 << 20;
-
-  [[nodiscard]] static T* acquire(std::uint32_t capacity) {
-    if (!dead_) {
-      Local& l = local();
-      FreeBlock*& head = l.heads[class_of(capacity)];
-      if (head != nullptr) {
-        FreeBlock* b = head;
-        head = b->next;
-        l.bytes -= bytes_of(capacity);
-        --l.blocks;
-        return reinterpret_cast<T*>(b);
-      }
-    }
-    return static_cast<T*>(::operator new(bytes_of(capacity)));
-  }
-
-  static void release(T* block, std::uint32_t capacity) noexcept {
-    if (!dead_) {
-      Local& l = local();
-      if (l.bytes + bytes_of(capacity) <= kMaxBytes) {
-        FreeBlock*& head = l.heads[class_of(capacity)];
-        head = ::new (static_cast<void*>(block)) FreeBlock{head};
-        l.bytes += bytes_of(capacity);
-        ++l.blocks;
-        return;
-      }
-    }
-    ::operator delete(static_cast<void*>(block));
-  }
-
-  /// Blocks parked in the calling thread's pool (tests, diagnostics).
-  [[nodiscard]] static std::size_t pooled_blocks() {
-    return dead_ ? 0 : local().blocks;
-  }
-
- private:
-  struct FreeBlock {
-    FreeBlock* next;
-  };
-  static constexpr int kClasses = 32;
-  static_assert(sizeof(T) >= sizeof(FreeBlock));
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-
-  struct Local {
-    FreeBlock* heads[kClasses] = {};
-    std::size_t bytes = 0;
-    std::size_t blocks = 0;
-    ~Local() {
-      dead_ = true;  // a FIFO destroyed later frees straight to the heap
-      for (FreeBlock* head : heads) {
-        while (head != nullptr) {
-          FreeBlock* next = head->next;
-          ::operator delete(static_cast<void*>(head));
-          head = next;
-        }
-      }
-    }
-  };
-  static Local& local() {
-    thread_local Local l;
-    return l;
-  }
-  static std::size_t bytes_of(std::uint32_t capacity) {
-    return static_cast<std::size_t>(capacity) * sizeof(T);
-  }
-  static int class_of(std::uint32_t capacity) {
-    assert(capacity != 0 && (capacity & (capacity - 1)) == 0);
-    return __builtin_ctz(capacity);
-  }
-  static inline thread_local bool dead_ = false;
-};
-
-}  // namespace detail
-
 /// FIFO ring whose first N slots live inline. Pushing past N moves the
-/// contents into a pooled spill block of twice the capacity (doubling
-/// again whenever it fills); popping the last element hands the block
-/// back to the pool and returns to the inline slots. Not copyable or
+/// contents into a detail::BlockPool spill block of twice the capacity
+/// (doubling again whenever it fills); popping the last element hands the
+/// block back to the pool and returns to the inline slots. Not copyable or
 /// movable: the ring may point into its own inline storage.
 template <typename T, std::uint32_t N>
 class InlineFifo {
@@ -197,20 +112,20 @@ class InlineFifo {
 
   void grow() {
     const std::uint32_t cap = cap_ * 2;
-    T* block = detail::SpillPool<T>::acquire(cap);
+    T* block = detail::BlockPool<T>::acquire(cap);
     for (std::uint32_t i = 0; i < size_; ++i) {
       T& src = data_[(head_ + i) & (cap_ - 1)];
       ::new (static_cast<void*>(&block[i])) T(std::move(src));
       src.~T();
     }
-    if (spilled()) detail::SpillPool<T>::release(data_, cap_);
+    if (spilled()) detail::BlockPool<T>::release(data_, cap_);
     data_ = block;
     cap_ = cap;
     head_ = 0;
   }
 
   void reset() {
-    if (spilled()) detail::SpillPool<T>::release(data_, cap_);
+    if (spilled()) detail::BlockPool<T>::release(data_, cap_);
     data_ = inline_data();
     cap_ = N;
     head_ = 0;
@@ -240,16 +155,11 @@ struct TrainEntry {
 /// serialization guarantees it; appends that would violate it fall back
 /// to per-frame data events). `scheduled` is true while exactly one
 /// scheduler node references this train — always at the front entry's
-/// (time, seq).
+/// (time, seq). Each entry is delivered as the data event
+/// `owner->execute_data_event(kind, entry.epoch, entry.frame, {})`, the
+/// same call a per-frame fallback schedules, so the two paths share one
+/// delivery routine and a train stays checkpointable.
 struct Train {
-  /// Delivers one entry; `owner` and `kind` are the fields below.
-  using Deliver = void (*)(DataEventOwner* owner, std::uint32_t kind,
-                           const TrainEntry& entry);
-
-  Deliver deliver = nullptr;
-  /// Serializable identity of `deliver`: per-frame fallbacks (mailbox
-  /// cap/monotonicity misses) schedule a data event against this owner
-  /// and kind, keeping the queue checkpointable.
   DataEventOwner* owner = nullptr;
   std::uint32_t kind = 0;
   bool scheduled = false;

@@ -259,7 +259,7 @@ TEST(Link, UnidirectionalFailure) {
 
 // --- link trains: inline-first entry ring --------------------------------
 
-using EntryPool = detail::SpillPool<TrainEntry>;
+using EntryPool = detail::BlockPool<TrainEntry>;
 
 // The ring against a std::deque model under a mixed push/pop stream whose
 // head wraps before every growth, so each spill and doubling copies a
